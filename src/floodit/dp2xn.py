@@ -63,12 +63,17 @@ exhaustive 2x3 and randomised 2x5/2x7 acceptance criteria 1 and 2, and the
 oracle comparisons elsewhere in the suite.  A restricted value is always an
 upper bound with a replay-validated witness.
 
-Two modes compute the same fixed point: "reference" runs simultaneous
-relaxation sweeps to convergence (vectorised when the palette is small
-enough, with a plain dict fallback), and "worklist" is a label-setting pass
-that settles entries in value order.  Up to _DENSE_COLOUR_MAX colours the
-worklist is Dial's bucketed pass over the same dense planes as the reference
-sweeps; above it, where no dense plane fits, it is a heap of scalar keys.
+Two modes compute the same least fixed point.  "reference" makes one pass in
+structural order.  A split points from a section to two sections with fewer
+cells, and the recolour rule from ignore set I to I + {d}.  So the pass walks
+layers of equal cell count upwards, applies the split rule from the final
+earlier layers, then walks the ignore sets by decreasing popcount and closes
+the one same-plane case, d in I, with a single step.  It is vectorised up to
+_DENSE_COLOUR_MAX colours, with a plain dict fallback above.  "worklist" is a
+label-setting pass that settles entries in value order, an independent
+cross-check.  Up to _DENSE_COLOUR_MAX colours it is Dial's bucketed pass over
+the same dense planes as the reference pass; above it, where no dense plane
+fits, it is a heap of scalar keys.
 Ignore sets are canonicalised to the colours present in the section for
 table presentation; the dense engines carry full bitmask planes internally,
 on which equivalent masks provably hold equal values.
@@ -179,6 +184,7 @@ class _SectionIndex:
         self.slot_sid = np.array([s[0] for s in self.slots], dtype=np.int64)
         self._build_records(borders, bt, bb, deadline)
         self._by_side = None
+        self._layers = None
 
     def pair_slot(self, sid, r1, r2):
         """Slot of the attachment cells r1, r2 in section sid, or None."""
@@ -238,8 +244,6 @@ class _SectionIndex:
             np.concatenate(a) if a else np.zeros(0, np.int32) for a in parts)
         # rec_start[s]:rec_start[s + 1] holds the records of parent slot s.
         self.rec_start = np.searchsorted(self.rec_parent, np.arange(len(self.slots) + 1))
-        self.group_parents = np.flatnonzero(np.diff(self.rec_start))
-        self.group_starts = self.rec_start[self.group_parents]
 
     def records_by_side(self):
         """Record indices ordered by left child and by right child, with the
@@ -253,6 +257,35 @@ class _SectionIndex:
                 by_right, np.searchsorted(self.rec_right[by_right], slots),
             )
         return self._by_side
+
+    def layers(self):
+        """Slots and split records in structural order, for the reference
+        pass: (order, slot_bounds, rec_start, left, right).
+
+        A layer holds the slots whose section has the same cell count; a
+        split's children have fewer cells than its parent, so they sit in
+        earlier layers.  Slots are renumbered to positions in layer order:
+        position p is slot order[p], and layer l holds positions
+        slot_bounds[l]:slot_bounds[l + 1].  The records of position p are
+        rec_start[p]:rec_start[p + 1], and left and right give their
+        children's positions.
+        """
+        if self._layers is None:
+            geoms = np.array(self.geoms, dtype=np.int64).reshape(-1, 4)
+            cells = (geoms[:, 2] - geoms[:, 0] + geoms[:, 3] - geoms[:, 1])[self.slot_sid]
+            order = np.argsort(cells, kind="stable")
+            pos = np.empty(len(order), dtype=np.int32)
+            pos[order] = np.arange(len(order))
+            slot_bounds = np.r_[0, np.flatnonzero(np.diff(cells[order])) + 1, len(order)]
+            # Records are grouped by parent slot: lay their runs out in
+            # position order.
+            counts = np.diff(self.rec_start)[order]
+            rec_start = np.r_[0, np.cumsum(counts)]
+            recs = (np.repeat(self.rec_start[order] - rec_start[:-1], counts)
+                    + np.arange(len(self.rec_parent)))
+            self._layers = (order, slot_bounds, rec_start,
+                            pos[self.rec_left[recs]], pos[self.rec_right[recs]])
+        return self._layers
 
 
 _INDEX_CACHE: dict = {}
@@ -281,14 +314,12 @@ class TableStats:
     """Counts for a solved table.
 
     keys, zeros and max_value describe the finite entries with canonical
-    ignore masks.  sweeps is the number of reference relaxation sweeps, 0
-    in worklist mode.  relaxations counts, in reference mode, the entries
-    changed by each sweep, summed over the sweeps.  In worklist mode it
-    counts the entries settled at a nonzero value.  Up to _DENSE_COLOUR_MAX
-    colours both modes count over full bitmask planes, and every entry the
-    worklist settles at a nonzero value changes at least once in the
-    reference sweeps, so the worklist count never exceeds the reference
-    one.  Above that both count canonical keys.
+    ignore masks.  sweeps is the number of layers (section cell counts) the
+    reference pass walked, 0 in worklist mode.  relaxations counts the
+    entries that end finite and nonzero, which in worklist mode are the
+    entries settled at a nonzero value, so both modes give the same count.
+    Up to _DENSE_COLOUR_MAX colours it is taken over full bitmask planes,
+    above that over canonical keys.
     """
 
     keys: int
@@ -568,12 +599,20 @@ class DPTable:
         return int(v) + between
 
     def stats(self) -> TableStats:
-        ent = self.entries()
-        values = ent.values()
+        if self._dense is not None:
+            # Canonical planes: ignore sets inside the section's colours.
+            planes = np.arange(self._dense.shape[2])
+            slot_masks = self._masks[self._index.slot_sid]
+            canon = (planes[None, :] & ~slot_masks[:, None]) == 0
+            values = self._dense.transpose(1, 0, 2)[:, canon]
+            values = values[values < INF]
+        else:
+            values = np.fromiter(self._scalar.values(), dtype=np.int64,
+                                 count=len(self._scalar))
         return TableStats(
-            keys=len(ent),
-            zeros=sum(1 for v in values if v == 0),
-            max_value=max(values) if ent else 0,
+            keys=len(values),
+            zeros=int(np.count_nonzero(values == 0)),
+            max_value=int(values.max()) if len(values) else 0,
             sweeps=self._sweeps,
             relaxations=self._relaxations,
         )
@@ -610,51 +649,67 @@ def _dense_seeds(board, index, masks, dtype, inf):
 
 
 def _solve_dense(board, index, masks, deadline):
-    n = board.n
-    planes = 1 << len(board.palette)
-    t_init, imap = _dense_seeds(board, index, masks, np.int32, INF)
+    """One relaxation pass in structural order over full bitmask planes.
 
-    group_starts = index.group_starts
-    group_parents = index.group_parents
-    total_records = len(index.rec_parent)
-    # Chunk split-rule evaluation on group boundaries to bound memory.
+    Layers are walked by increasing cell count.  Within a layer the split
+    rule reads only earlier layers, which are final.  The recolour rule then
+    walks the ignore planes by decreasing popcount, so that I + {d} is final
+    whenever d is not in I.  The same-plane case d in I is closed by one
+    step v(d, I) <= 1 + min_d' v(d', I), which cannot lower the plane's
+    minimum.  Taken over every d, that step leaves d outside I unchanged:
+    values only drop as the ignore set grows, so the bound from I + {d}
+    applied just before is at least as good.
+
+    Returns the table, shape (slot, colour, ignore set) with INF where no
+    rule reaches, the number of layers and the number of entries that end
+    finite and nonzero.
+    """
+    # The pass works planes-major, (colour, ignore set, slot position), with
+    # slot positions in layer order and planes in decreasing popcount, so
+    # that a layer's popcount run is one strided view and a split chunk
+    # gathers and min-reduces contiguous runs per plane.  Values stay within
+    # the board's cell count, and the sum of two values stays inside int16.
+    c = len(board.palette)
+    planes = 1 << c
+    inf = _BUCKET_INF
+    seeds, imap = _dense_seeds(board, index, masks, np.int16, inf)
+    order, slot_bounds, rec_start, left, right = index.layers()
+    popcount = np.array([bin(q).count("1") for q in range(planes)])
+    perm = np.argsort(-popcount, kind="stable")
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(planes)
+    pmap = inv[imap[:, perm]]
+    pc_bounds = np.searchsorted(-popcount[perm], np.arange(-c, 2)).tolist()
+    t = np.ascontiguousarray(seeds[order][:, :, perm].transpose(1, 2, 0))
+    flat = t.reshape(c * planes, -1)
+
     max_chunk_records = max(1, 4_000_000 // planes)
-    chunk_bounds = [0]
-    for gi in range(len(group_starts)):
-        start = int(group_starts[gi])
-        if start - int(group_starts[chunk_bounds[-1]]) >= max_chunk_records:
-            chunk_bounds.append(gi)
-    chunk_bounds.append(len(group_starts))
-
-    t_cur = t_init.copy()
-    sweeps = 0
-    relaxations = 0
-    cap = n * n + 2 * n + 2
-    while True:
+    for lo, hi in zip(slot_bounds[:-1].tolist(), slot_bounds[1:].tolist()):
         _check_deadline(deadline)
-        t_min = t_cur.min(axis=1)
-        f1 = t_min[:, imap] + 1
-        f2 = np.full_like(t_cur, INF)
-        for ci in range(len(chunk_bounds) - 1):
-            glo, ghi = chunk_bounds[ci], chunk_bounds[ci + 1]
-            if glo == ghi:
-                continue
-            rlo = int(group_starts[glo])
-            rhi = int(group_starts[ghi]) if ghi < len(group_starts) else total_records
-            sums = t_cur[index.rec_left[rlo:rhi]] + t_cur[index.rec_right[rlo:rhi]]
-            np.minimum(sums, INF, out=sums)
-            offsets = group_starts[glo:ghi] - rlo
-            f2[group_parents[glo:ghi]] = np.minimum.reduceat(sums, offsets, axis=0)
-        t_new = np.minimum(np.minimum(f1, f2), t_init)
-        changed = int(np.count_nonzero(t_new != t_cur))
-        relaxations += changed
-        sweeps += 1
-        t_cur = t_new
-        if changed == 0:
-            break
-        if sweeps > cap:
-            raise FlooditError("relaxation failed to converge within its bound")
-    return t_cur, sweeps, relaxations
+        parents = lo + np.flatnonzero(np.diff(rec_start[lo:hi + 1]))
+        if len(parents):
+            # Chunk the split records on parent boundaries to bound memory.
+            starts = np.r_[rec_start[parents], rec_start[hi]]
+            cuts = np.flatnonzero(np.diff((starts[:-1] - starts[0]) // max_chunk_records))
+            bounds = [0, *(cuts + 1).tolist(), len(parents)]
+            for ga, gb in zip(bounds[:-1], bounds[1:]):
+                _check_deadline(deadline)
+                rlo, rhi = int(starts[ga]), int(starts[gb])
+                sums = np.take(flat, left[rlo:rhi], axis=1)
+                sums += np.take(flat, right[rlo:rhi], axis=1)
+                group = parents[ga:gb]
+                flat[:, group] = np.minimum(
+                    flat[:, group], np.minimum.reduceat(sums, starts[ga:gb] - rlo, axis=1))
+        low = np.full((planes, hi - lo), inf, dtype=t.dtype)  # min over colours
+        for a, b in zip(pc_bounds[:-1], pc_bounds[1:]):
+            run = t[:, a:b, lo:hi]
+            np.minimum(run, low[pmap[:, a:b]] + 1, out=run)
+            low[a:b] = run.min(axis=0)
+            np.minimum(run, low[a:b] + 1, out=run)
+    relaxations = int(np.count_nonzero((t > 0) & (t < inf)))
+    table = np.empty((len(order), c, planes), dtype=np.int32)
+    table[order] = np.where(t < inf, t.astype(np.int32), INF)[:, inv].transpose(2, 0, 1)
+    return table, len(slot_bounds) - 1, relaxations
 
 
 def _solve_buckets(board, index, masks, deadline):
@@ -746,8 +801,10 @@ def _scalar_keys(index, masks, c):
     return total
 
 
-def _solve_scalar_sweeps(board, index, masks, deadline):
-    """Dict-based simultaneous relaxation, for palettes too big to vectorise."""
+def _solve_scalar(board, index, masks, deadline):
+    """The structural-order pass of _solve_dense over canonical dict keys, for
+    palettes too big to vectorise.  Within a slot, ignore sets are taken in
+    decreasing popcount."""
     c = len(board.palette)
     _scalar_keys(index, masks, c)
     zero_vals = {}
@@ -757,59 +814,52 @@ def _solve_scalar_sweeps(board, index, masks, deadline):
         for extra in ({0, 1 << d0} if (1 << d0) & m else {0}):
             zero_vals[(slot, d0, base | (extra & m))] = 0
 
-    keys = []
-    for slot, (sid, _r1, _r2) in enumerate(index.slots):
-        m = int(masks[sid])
-        sub = m
-        while True:
-            for d in range(c):
-                keys.append((slot, d, sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-    rec_start = index.rec_start
-    n = board.n
-    cap = n * n + 2 * n + 2
-    cur = dict(zero_vals)
-    sweeps = 0
-    relaxations = 0
-    while True:
+    order, slot_bounds = index.layers()[:2]
+    slot_masks = masks[index.slot_sid].tolist()
+    rec_start = index.rec_start.tolist()
+    rec_left = index.rec_left.tolist()
+    rec_right = index.rec_right.tolist()
+    table = {}
+    for lo, hi in zip(slot_bounds[:-1].tolist(), slot_bounds[1:].tolist()):
         _check_deadline(deadline)
-        nxt = {}
-        changed = 0
-        for key in keys:
-            slot, d, sub = key
-            sid = int(index.slot_sid[slot])
-            m = int(masks[sid])
-            best = zero_vals.get(key, INF)
-            child_mask = (sub | (1 << d)) & m
-            for dp in range(c):
-                v = cur.get((slot, dp, child_mask), INF)
-                if v + 1 < best:
-                    best = v + 1
-            for i in range(rec_start[slot], rec_start[slot + 1]):
-                ls = int(index.rec_left[i])
-                rs = int(index.rec_right[i])
-                lm = int(masks[index.slot_sid[ls]])
-                rm = int(masks[index.slot_sid[rs]])
-                lv = cur.get((ls, d, sub & lm), INF)
-                if lv >= best:
-                    continue
-                rv = cur.get((rs, d, sub & rm), INF)
-                if lv + rv < best:
-                    best = lv + rv
-            if best < INF:
-                nxt[key] = best
-                if cur.get(key, INF) != best:
-                    changed += 1
-        relaxations += changed
-        sweeps += 1
-        cur = nxt
-        if changed == 0:
-            break
-        if sweeps > cap:
-            raise FlooditError("relaxation failed to converge within its bound")
-    return cur, sweeps, relaxations
+        for slot in order[lo:hi].tolist():
+            m = slot_masks[slot]
+            subs = []
+            sub = m
+            while True:
+                subs.append(sub)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & m
+            subs.sort(key=lambda s: -bin(s).count("1"))
+            for sub in subs:
+                vals = []
+                for d in range(c):
+                    best = zero_vals.get((slot, d, sub), INF)
+                    child_mask = (sub | (1 << d)) & m
+                    if child_mask != sub:
+                        for dp in range(c):
+                            v = table.get((slot, dp, child_mask), INF) + 1
+                            if v < best:
+                                best = v
+                    for i in range(rec_start[slot], rec_start[slot + 1]):
+                        ls, rs = rec_left[i], rec_right[i]
+                        lv = table.get((ls, d, sub & slot_masks[ls]), INF)
+                        if lv >= best:
+                            continue
+                        rv = table.get((rs, d, sub & slot_masks[rs]), INF)
+                        if lv + rv < best:
+                            best = lv + rv
+                    vals.append(best)
+                # Same-plane recolour: (sub + {d}) & m == sub.
+                closed = min(vals) + 1
+                for d, best in enumerate(vals):
+                    if (sub | (1 << d)) & m == sub:
+                        best = min(best, closed)
+                    if best < INF:
+                        table[(slot, d, sub)] = best
+    relaxations = sum(1 for v in table.values() if v > 0)
+    return table, len(slot_bounds) - 1, relaxations
 
 
 def _solve_heap(board, index, masks, deadline):
@@ -907,7 +957,7 @@ def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference"
             table = DPTable(board, index, mode, masks, target, dense=dense,
                             sweeps=sweeps, relaxations=relax)
         else:
-            scalar, sweeps, relax = _solve_scalar_sweeps(board, index, masks, deadline)
+            scalar, sweeps, relax = _solve_scalar(board, index, masks, deadline)
             table = DPTable(board, index, mode, masks, target, scalar=scalar,
                             sweeps=sweeps, relaxations=relax)
     elif c <= _DENSE_COLOUR_MAX:

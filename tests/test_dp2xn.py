@@ -2,7 +2,10 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodit.board import Board2xN, Border, board_from_tokens, to_graph
 from floodit.engine import replay
@@ -196,6 +199,45 @@ def test_time_budget_is_honoured_promptly():
     assert time.monotonic() - start < 1.5
 
 
+def test_reference_time_budget_is_honoured_promptly():
+    # The index for this width is built first, so the budget runs out inside
+    # the structural-order pass, which takes about 0.8 s here.
+    board = random_board(random.Random(40), 40, 4)
+    dp2xn._get_index(board.n)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        solve(board, time_budget=0.3)
+    assert time.monotonic() - start < 1.3
+
+
+def test_reference_table_equals_bucketed_worklist():
+    rng = random.Random(1000)
+    for _ in range(60):
+        board = random_board(rng, rng.randint(1, 8), rng.randint(1, 4))
+        _, tr = solve(board, mode="reference")
+        _, tw = solve(board, mode="worklist")
+        assert np.array_equal(tr._dense, tw._dense), board.cells
+        assert tr.stats().relaxations == tw.stats().relaxations
+
+
+@st.composite
+def small_boards(draw):
+    n = draw(st.integers(1, 5))
+    c = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, c - 1), min_size=2 * n, max_size=2 * n))
+    return Board2xN(n, (tuple(cells[:n]), tuple(cells[n:])), colour_tokens(c))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(board=small_boards(), data=st.data())
+def test_reference_worklist_and_oracle_agree(board, data):
+    graph = to_graph(board)
+    target = data.draw(st.sampled_from([None, *range(len(board.palette))]))
+    want = min_moves(graph, target=target).value
+    assert solve(board, target=target, mode="reference")[0] == want
+    assert solve(board, target=target, mode="worklist")[0] == want
+
+
 def test_value_bounds():
     rng = random.Random(300)
     for _ in range(15):
@@ -239,6 +281,20 @@ def test_stats_keys_bound_and_zero_relaxations():
     n, c = board.n, len(board.palette)
     assert stats.keys <= (n + 1) ** 4 * (n + 2) ** 2 * c * 2**c
     assert stats.relaxations == 0  # nothing improves after seeding
+
+
+def test_stats_match_entries():
+    rng = random.Random(900)
+    boards = [random_board(rng, rng.randint(1, 6), rng.randint(1, 4)) for _ in range(12)]
+    boards.append(Board2xN(3, ((0, 5, 2), (7, 4, 2)), colour_tokens(9)))
+    for board in boards:
+        for mode in ("reference", "worklist"):
+            _, table = solve(board, mode=mode)
+            values = list(table.entries().values())
+            stats = table.stats()
+            assert stats.keys == len(values), (board.cells, mode)
+            assert stats.zeros == values.count(0), (board.cells, mode)
+            assert stats.max_value == max(values), (board.cells, mode)
 
 
 def test_worklist_relaxations_do_not_exceed_reference():
