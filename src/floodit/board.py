@@ -4,6 +4,12 @@ board text file format.
 A border is a top-to-bottom path along cell edges, determined by the column
 position where it meets the top edge (t) and the bottom edge (b), both in
 0..n.  Vertex ids are row-major with row 0 on top: id = row * n + col.
+
+This module is the one home of the geometry: which border pairs bound a
+section, which cells touch a border, which edges a border cuts.  The rules
+are element-wise: one expression evaluates on Python ints and on the numpy
+arrays of dp2xn's section index.  They combine comparisons with & and |,
+never ~, which turns True into -2.
 """
 
 from __future__ import annotations
@@ -36,13 +42,12 @@ class Board2xN:
                 if not 0 <= cid < len(self.palette):
                     raise InputError(f"cell colour id {cid} outside the palette")
 
-    def colour_at(self, row: int, col: int) -> int:
-        return self.cells[row][col]
-
     def vertex(self, row: int, col: int) -> int:
         return row * self.n + col
 
     def cell_of(self, vertex: int):
+        if not 0 <= vertex < 2 * self.n:
+            raise InputError(f"vertex {vertex} outside the board")
         return divmod(vertex, self.n)
 
 
@@ -111,13 +116,14 @@ def to_graph(board: Board2xN) -> ColouredGraph:
     adj = [[] for _ in range(2 * n)]
     for row in range(2):
         for col in range(n):
-            v = row * n + col
+            v = board.vertex(row, col)
             if col + 1 < n:
                 adj[v].append(v + 1)
                 adj[v + 1].append(v)
             if row == 0:
-                adj[v].append(v + n)
-                adj[v + n].append(v)
+                below = board.vertex(1, col)
+                adj[v].append(below)
+                adj[below].append(v)
     colouring = list(board.cells[0]) + list(board.cells[1])
     return ColouredGraph(adj, colouring, board.palette)
 
@@ -130,43 +136,101 @@ def enumerate_borders(n: int) -> list:
     return [Border(t, b) for t in range(n + 1) for b in range(n + 1)]
 
 
+def low_skew_borders(n: int) -> list:
+    """The borders with |t - b| <= 1, the only ones the 2xN dynamic program
+    uses, ordered by t + b, then t."""
+    return [Border(t, s - t) for s in range(2 * n + 1) for t in range(n + 1)
+            if 0 <= s - t <= n and abs(2 * t - s) <= 1]
+
+
 def border_leq(b1: Border, b2: Border) -> bool:
     """Componentwise order: b1 meets both board edges no further right
     than b2."""
     return b1.t <= b2.t and b1.b <= b2.b
 
 
-def _check_border(board: Board2xN, border: Border):
-    if not (0 <= border.t <= board.n and 0 <= border.b <= board.n):
-        raise InputError(f"border {border} out of range for n={board.n}")
+def check_borders(board: Board2xN, *borders: Border):
+    """Raise InputError unless every border lies on the board and each one
+    is <= the next."""
+    for border in borders:
+        if not (0 <= border.t <= board.n and 0 <= border.b <= board.n):
+            raise InputError(f"border {border} out of range for n={board.n}")
+    for b1, b2 in zip(borders, borders[1:]):
+        if not border_leq(b1, b2):
+            raise InputError(f"borders not ordered: {b1} vs {b2}")
+
+
+# -- element-wise rules: a section lies between borders (t1, b1) and (t2, b2)
+
+
+def border_col(t, b, row):
+    """Column position where border (t, b) meets row 0 (t) or row 1 (b)."""
+    return t + row * (b - t)
+
+
+def in_section(t1, b1, t2, b2, row, col):
+    """Cell (row, col) lies in the section."""
+    return (border_col(t1, b1, row) <= col) & (col < border_col(t2, b2, row))
+
+
+def bounds_section(t1, b1, t2, b2):
+    """The borders are ordered and the section is non-empty and connected:
+    where both rows are non-empty, their column intervals overlap."""
+    return ((t1 <= t2) & (b1 <= b2) & ((t1 < t2) | (b1 < b2))
+            & ((t1 == t2) | (b1 == b2) | ((t1 < b2) & (b1 < t2))))
+
+
+def _in_run(t, b, col):
+    """Column col lies in the border's run [min(t, b), max(t, b))."""
+    return ((t <= col) & (col < b)) | ((b <= col) & (col < t))
+
+
+def touches_border(t, b, side, row, col):
+    """Cell (row, col) has an edge on border (t, b) and lies on its side
+    ("left" or "right"), or is a cell of a run column."""
+    return (col == border_col(t, b, row) - (side == "left")) | _in_run(t, b, col)
+
+
+def row_cut(t1, b1, t2, b2, t, b, row):
+    """Border (t, b) cuts the row-`row` edge from column p - 1 to p,
+    p = border_col(t, b, row), inside the section."""
+    p = border_col(t, b, row)
+    return (border_col(t1, b1, row) < p) & (p < border_col(t2, b2, row))
+
+
+def column_cut(t1, b1, t2, b2, t, b, col):
+    """Border (t, b) cuts the vertical edge of run column col inside the
+    section; and the row of the edge's left cell, 1 (bottom) where t < b."""
+    inside = in_section(t1, b1, t2, b2, 0, col) & in_section(t1, b1, t2, b2, 1, col)
+    return _in_run(t, b, col) & inside, (t < b) * 1
 
 
 def section_vertices(board: Board2xN, b1: Border, b2: Border) -> set:
     """Vertices strictly between two comparable borders: top-row columns
     b1.t..b2.t-1 and bottom-row columns b1.b..b2.b-1."""
-    _check_border(board, b1)
-    _check_border(board, b2)
-    if not border_leq(b1, b2):
-        raise InputError(f"borders not ordered: {b1} vs {b2}")
-    n = board.n
-    out = {0 * n + c for c in range(b1.t, b2.t)}
-    out |= {1 * n + c for c in range(b1.b, b2.b)}
-    return out
+    check_borders(board, b1, b2)
+    return {board.vertex(row, col) for row in (0, 1) for col in range(board.n)
+            if in_section(*b1, *b2, row, col)}
 
 
 def is_section(board: Board2xN, b1: Border, b2: Border) -> bool:
     """True iff the vertex set between the borders is non-empty and
     connected."""
-    if not border_leq(b1, b2):
-        raise InputError(f"borders not ordered: {b1} vs {b2}")
-    top_empty = b1.t == b2.t
-    bottom_empty = b1.b == b2.b
-    if top_empty and bottom_empty:
-        return False
-    if top_empty or bottom_empty:
-        return True
-    # Both rows present: connected iff the column intervals share a column.
-    return max(b1.t, b1.b) < min(b2.t, b2.b)
+    check_borders(board, b1, b2)
+    return bounds_section(*b1, *b2)
+
+
+def section_cells(board: Board2xN, b1: Border, b2: Border, *vertices: int) -> list:
+    """(row, col) of each vertex.  Raises InputError unless the borders
+    bound a section that holds every vertex."""
+    check_borders(board, b1, b2)
+    if not bounds_section(*b1, *b2):
+        raise InputError(f"borders {b1}, {b2} do not bound a section")
+    cells = [board.cell_of(v) for v in vertices]
+    for v, (row, col) in zip(vertices, cells):
+        if not in_section(*b1, *b2, row, col):
+            raise InputError(f"vertex {v} not inside the section")
+    return cells
 
 
 def incident_vertices(
@@ -182,29 +246,13 @@ def incident_vertices(
     horizontal run [min(t,b), max(t,b)) are incident regardless of side.
     `within` restricts the result to a section given as a (b1, b2) pair.
     """
-    _check_border(board, border)
+    check_borders(board, border)
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
-    n = board.n
-    t, b = border
-    cells = set()
-    if side == "right":
-        if t < n:
-            cells.add((0, t))
-        if b < n:
-            cells.add((1, b))
-    else:
-        if t > 0:
-            cells.add((0, t - 1))
-        if b > 0:
-            cells.add((1, b - 1))
-    for j in range(min(t, b), max(t, b)):
-        cells.add((0, j))
-        cells.add((1, j))
-    ids = {row * n + col for row, col in cells}
-    if within is not None:
-        ids &= section_vertices(board, within[0], within[1])
-    return sorted(ids)
+    b1, b2 = within or (Border(0, 0), Border(board.n, board.n))
+    check_borders(board, b1, b2)
+    return [board.vertex(row, col) for row in (0, 1) for col in range(board.n)
+            if touches_border(*border, side, row, col) & in_section(*b1, *b2, row, col)]
 
 
 def crossing_edges(
@@ -214,22 +262,19 @@ def crossing_edges(
 ) -> list:
     """Edges of the cell graph cut by the border, as (x1, x2) with x1 on the
     left (<=) side.  Cuts: the top horizontal edge at position t, the bottom
-    one at position b, and one vertical edge per run column."""
-    _check_border(board, border)
-    n = board.n
+    one at position b, and one vertical edge per run column.  `within`
+    keeps the edges inside a section given as a (b1, b2) pair."""
+    check_borders(board, border)
+    b1, b2 = within or (Border(0, 0), Border(board.n, board.n))
+    check_borders(board, b1, b2)
     t, b = border
     edges = []
-    if 0 < t < n:
-        edges.append((t - 1, t))  # top row, ids equal cols
-    if 0 < b < n:
-        edges.append((n + b - 1, n + b))
-    for j in range(min(t, b), max(t, b)):
-        top, bottom = j, n + j
-        if t <= j < b:
-            edges.append((bottom, top))  # bottom square is left of the border
-        else:
-            edges.append((top, bottom))
-    if within is not None:
-        sect = section_vertices(board, within[0], within[1])
-        edges = [(x1, x2) for x1, x2 in edges if x1 in sect and x2 in sect]
+    for row in (0, 1):
+        if row_cut(*b1, *b2, t, b, row):
+            p = border_col(t, b, row)
+            edges.append((board.vertex(row, p - 1), board.vertex(row, p)))
+    for col in range(min(t, b), max(t, b)):
+        cut, left = column_cut(*b1, *b2, t, b, col)
+        if cut:
+            edges.append((board.vertex(left, col), board.vertex(1 - left, col)))
     return edges

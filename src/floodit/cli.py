@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
 def _sequence_payload(board, moves):
     out = []
     for mv in moves:
-        row, col = divmod(mv.vertex, board.n)
+        row, col = board.cell_of(mv.vertex)
         out.append({"row": row, "col": col, "colour": board.palette[mv.colour]})
     return out
 
@@ -286,14 +286,17 @@ def _cmd_bench(args) -> int:
         return EXIT_CAPACITY
     rng = random.Random(args.seed)
     rows = []
-    exceeded = False
+    error = None
     for n in range(lo, hi + 1):
         board = gen.random_board(rng, n, args.colours)
         start = time.perf_counter()
         try:
             value, table = dp2xn.solve(board, time_budget=BENCH_BUDGET_SECONDS)
         except BudgetExceededError:
-            exceeded = True
+            error = "time budget exceeded; emitted partial table"
+            break
+        except CapacityError as exc:
+            error = str(exc)
             break
         millis = (time.perf_counter() - start) * 1000.0
         stats = table.stats()
@@ -316,8 +319,8 @@ def _cmd_bench(args) -> int:
                 f"{row['n']:>4} {row['value']:>6} {row['millis']:>10.1f}"
                 f" {row['keys']:>10} {row['sweeps']:>7}"
             )
-    if exceeded:
-        print("error: time budget exceeded; emitted partial table", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_CAPACITY
     return EXIT_OK
 

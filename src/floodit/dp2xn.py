@@ -16,6 +16,9 @@ Two monotone rules relax the rest:
 
 The board answer is the best full-board entry with an empty ignore set.
 
+The geometry comes from board: the section index evaluates its element-wise
+rules for sections, end cells and cut edges over numpy arrays.
+
 Low-skew index.  Only borders (t, b) with |t - b| <= 1 are used, for
 sections and for split borders alike.  The full board's borders (0, 0) and
 (n, n) have skew 0 and a split's children take their borders from the parent
@@ -88,7 +91,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import pathsweep
+from . import board as geo, pathsweep
 from .board import Board2xN, Border, to_graph
 from .engine import Move, replay
 from .errors import (
@@ -112,45 +115,24 @@ def _check_deadline(deadline):
         raise BudgetExceededError("time budget exhausted")
 
 
-def _connected_section(t1, bb1, t2, bb2) -> bool:
-    top = t1 < t2
-    bottom = bb1 < bb2
-    if not (top or bottom):
-        return False
-    if top and bottom:
-        return max(t1, bb1) < min(t2, bb2)
-    return True
-
-
-def _low_skew_borders(n):
-    """Borders with |t - b| <= 1, ordered by t + b, then t."""
-    return [(t, s - t) for s in range(2 * n + 1) for t in range(n + 1)
-            if 0 <= s - t <= n and abs(2 * t - s) <= 1]
-
-
 class _SectionIndex:
-    """Board-independent geometry for one board width: the sections between
+    """Board-independent numbering for one board width: the sections between
     low-skew borders, their attachment pairs admitting a path-dominated
     spanning tree (slots), and the split records (parent, left, right slot).
 
-    Between borders of skew at most one, a section's candidate left
-    attachments are (0, t1) and (1, b1) and its right ones (0, t2 - 1) and
-    (1, b2 - 1), so a slot is named by its section and the rows (a, b) of
-    its two attachments: slot_of[sid, a, b], -1 where no slot exists (the
-    extra last row of slot_of is all -1, so sid -1 looks up "none").
+    Between borders of skew at most one, a section has at most one end cell
+    per row at each border, so a slot is named by its section and the rows
+    (a, b) of its two attachments: slot_of[sid, a, b], -1 where no slot
+    exists (the extra last row of slot_of is all -1, so sid -1 looks up
+    "none").
     """
 
     def __init__(self, n: int, deadline=None):
-        self.n = n
-        borders = _low_skew_borders(n)
+        borders = geo.low_skew_borders(n)
         nb = len(borders)
         bt = np.array([t for t, _ in borders])
         bb = np.array([b for _, b in borders])
-        t1, t2 = bt[:, None], bt[None, :]
-        b1, b2 = bb[:, None], bb[None, :]
-        top, bottom = t1 < t2, b1 < b2
-        is_sec = ((t1 <= t2) & (b1 <= b2) & (top | bottom)
-                  & ~(top & bottom & (np.maximum(t1, b1) >= np.minimum(t2, b2))))
+        is_sec = geo.bounds_section(bt[:, None], bb[:, None], bt[None, :], bb[None, :])
         # Section ids run border-pair major, so records generated per left
         # border come out grouped by parent slot.
         sec_i, sec_j = np.nonzero(is_sec)
@@ -159,20 +141,28 @@ class _SectionIndex:
         self.geoms = [(borders[i][0], borders[i][1], borders[j][0], borders[j][1])
                       for i, j in zip(sec_i.tolist(), sec_j.tolist())]
         self.by_geom = {g: sid for sid, g in enumerate(self.geoms)}
+        # cells[sid, row, col]: the cell lies in section sid.  ends[sid, e,
+        # row]: column of the section's end cell in that row at its left
+        # (e = 0) or right (e = 1) border, -1 where there is none; there is
+        # at most one, so a dot product with col + 1 finds it.
+        bt3, bb3 = bt[:, None, None], bb[:, None, None]
+        rows, cols = np.arange(2)[:, None], np.arange(n)
+        after = geo.touches_border(bt3, bb3, "right", rows, cols)  # (border, row, col)
+        before = geo.touches_border(bt3, bb3, "left", rows, cols)
+        self.cells = geo.in_section(bt3[sec_i], bb3[sec_i], bt3[sec_j], bb3[sec_j], rows, cols)
+        self.ends = (np.stack([after[sec_i], before[sec_j]], axis=1)
+                     & self.cells[:, None]).dot(np.arange(1, n + 1)) - 1
         self.slots = []  # (sid, r1cell, r2cell)
         slot_of = np.full((len(self.geoms) + 1, 2, 2), -1, dtype=np.int32)
         # Path existence is translation invariant: test each shape once.
         shapes = {}
         for sid, (t1, bb1, t2, bb2) in enumerate(self.geoms):
             _check_deadline(deadline)
-            left = [(0, t1)] if t1 < t2 else []
-            right = [(0, t2 - 1)] if t1 < t2 else []
-            if bb1 < bb2:
-                left.append((1, bb1))
-                right.append((1, bb2 - 1))
+            lcols, rcols = self.ends[sid].tolist()
             o = min(t1, bb1)
-            for r1 in left:
-                for r2 in right:
+            rights = [(b, col) for b, col in enumerate(rcols) if col >= 0]
+            for r1 in [(a, col) for a, col in enumerate(lcols) if col >= 0]:
+                for r2 in rights:
                     key = (t1 - o, bb1 - o, t2 - o, bb2 - o, r1[0], r1[1] - o, r2[0], r2[1] - o)
                     ok = shapes.get(key)
                     if ok is None:
@@ -182,60 +172,60 @@ class _SectionIndex:
                         self.slots.append((sid, r1, r2))
         self.slot_of = slot_of
         self.slot_sid = np.array([s[0] for s in self.slots], dtype=np.int64)
-        self._build_records(borders, bt, bb, deadline)
+        self._build_records(bt, bb, deadline)
         self._by_side = None
         self._layers = None
 
     def pair_slot(self, sid, r1, r2):
-        """Slot of the attachment cells r1, r2 in section sid, or None."""
-        t1, bb1, t2, bb2 = self.geoms[sid]
-        a = {(0, t1): 0, (1, bb1): 1}.get(r1)
-        b = {(0, t2 - 1): 0, (1, bb2 - 1): 1}.get(r2)
-        if a is None or b is None:
+        """Slot of the end cells r1, r2 of section sid, or None."""
+        (a, col1), (b, col2) = r1, r2
+        if self.ends[sid, 0, a] != col1 or self.ends[sid, 1, b] != col2:
             return None
         slot = int(self.slot_of[sid, a, b])
         return None if slot < 0 else slot
 
-    def _build_records(self, borders, bt, bb, deadline):
+    def _build_records(self, bt, bb, deadline):
         """Split records, generated per parent left border i over arrays
         indexed (right border j, parent rows a, b, split border k, edge e),
-        so that they come out ordered by parent slot."""
-        nb = len(borders)
-        # Edge e crosses the split border from left-child row x1_rows[e] to
-        # right-child row x2_rows[e]: top row, bottom row, then the vertical
-        # edge of the split border's run column (bottom cell on the left
-        # when t < b, top cell on the left when t > b).
-        x1_rows = np.array([0, 1, 1, 0])
-        x2_rows = np.array([0, 1, 0, 1])
-        slot_of = self.slot_of
-        sec_of = self.sec_of
+        so that they come out ordered by parent slot.  The edges are the
+        top-row, the bottom-row and the run-column edge cut by k."""
+        nb, n = len(bt), int(bt[-1])
+        # Section (i, j) is the overlap of (i, right board edge) and (left
+        # board edge, j), so an edge is cut inside it iff it is cut inside
+        # both: cut masks factor into an (i, k) and a (k, j) half.  Split
+        # border k runs along axis 0; a low-skew border has at most one run
+        # column, min(t, b).
+        kt, kb = bt[:, None], bb[:, None]
+
+        def cuts(t1, b1, t2, b2):
+            col_cut, col_left = geo.column_cut(t1, b1, t2, b2, kt, kb, np.minimum(kt, kb))
+            return col_left, np.stack([geo.row_cut(t1, b1, t2, b2, kt, kb, 0),
+                                       geo.row_cut(t1, b1, t2, b2, kt, kb, 1),
+                                       col_cut], axis=-1)
+
+        col_left, after = cuts(bt[None, :], bb[None, :], n, n)  # (k, i, e)
+        after = after.transpose(1, 0, 2)  # (i, k, e)
+        before = cuts(0, 0, bt[None, :], bb[None, :])[1]  # (k, j, e)
+        # Children's slots per edge: a row-r edge joins the left child's
+        # row-r end cell to the right child's; a column edge runs from row
+        # col_left (per k) to the other row.
+        sub = self.slot_of[self.sec_of]  # (x, y, a, b): section (x, y), rows a, b
+        col = np.where(col_left[None] == 1, sub[..., 1], sub[..., 0])
+        left = np.concatenate([sub, col[..., None]], axis=3)  # (i, k, a, e)
+        col = np.where(col_left[:, :, None] == 1, sub[:, :, 0], sub[:, :, 1])
+        right = np.concatenate([sub, col[:, :, None]], axis=2)  # (k, j, e, b)
+        # Both k and j lie beyond i in t + b order.
+        starts = np.searchsorted(bt + bb, bt + bb, side="right").tolist()
         parts = ([], [], [])
-        for i in range(nb):
+        for i, lo in enumerate(starts):
             _check_deadline(deadline)
-            t1, b1 = borders[i]
-            # Borders beyond i in t + b order; both k and j must lie there.
-            lo = i + 1
-            while lo < nb and bt[lo] + bb[lo] == t1 + b1:
-                lo += 1
             if lo == nb:
                 continue
-            kt, kb = bt[lo:, None], bb[lo:, None]  # split border k (rows)
-            jt, jb = bt[None, lo:], bb[None, lo:]  # parent right border j
-            run = np.minimum(kt, kb)
-            in_both = (t1 <= run) & (run < jt) & (b1 <= run) & (run < jb)
-            edge = np.stack([
-                (t1 < kt) & (kt < jt),
-                (b1 < kb) & (kb < jb),
-                (kt < kb) & in_both,
-                (kt > kb) & in_both,
-            ], axis=-1)  # (k, j, e)
-            parent = slot_of[sec_of[i, lo:]]  # (j, a, b)
-            left = slot_of[sec_of[i, lo:]][:, :, x1_rows]  # (k, a, e)
-            right = slot_of[sec_of[lo:, lo:]][:, :, x2_rows, :]  # (k, j, e, b)
-            shape = (nb - lo, 2, 2, nb - lo, 4)
-            p = np.broadcast_to(parent[:, :, :, None, None], shape)
-            l_ = np.broadcast_to(left.transpose(1, 0, 2)[None, :, None, :, :], shape)
-            r = np.broadcast_to(right.transpose(1, 3, 0, 2)[:, None, :, :, :], shape)
+            shape = (nb - lo, 2, 2, nb - lo, 3)
+            p = np.broadcast_to(sub[i, lo:, :, :, None, None], shape)
+            l_ = np.broadcast_to(left[i, lo:].transpose(1, 0, 2)[None, :, None, :, :], shape)
+            r = np.broadcast_to(right[lo:, lo:].transpose(1, 3, 0, 2)[:, None, :, :, :], shape)
+            edge = after[i, lo:, None, :] & before[lo:, lo:]  # (k, j, e)
             ok = (edge.transpose(1, 0, 2)[:, None, None, :, :]
                   & (p >= 0) & (l_ >= 0) & (r >= 0))
             for out, arr in zip(parts, (p, l_, r)):
@@ -271,8 +261,7 @@ class _SectionIndex:
         children's positions.
         """
         if self._layers is None:
-            geoms = np.array(self.geoms, dtype=np.int64).reshape(-1, 4)
-            cells = (geoms[:, 2] - geoms[:, 0] + geoms[:, 3] - geoms[:, 1])[self.slot_sid]
+            cells = self.cells.sum(axis=(1, 2))[self.slot_sid]
             order = np.argsort(cells, kind="stable")
             pos = np.empty(len(order), dtype=np.int32)
             pos[order] = np.arange(len(order))
@@ -288,14 +277,20 @@ class _SectionIndex:
         return self._layers
 
 
+# Indexes by width, least recently used first.  With its layer order an
+# index takes 21 MB at n = 30 and 53 MB at n = 40, so only the last few
+# widths stay.
 _INDEX_CACHE: dict = {}
+_INDEX_CACHE_WIDTHS = 4
 
 
 def _get_index(n: int, deadline=None) -> _SectionIndex:
-    idx = _INDEX_CACHE.get(n)
+    idx = _INDEX_CACHE.pop(n, None)
     if idx is None:
         idx = _SectionIndex(n, deadline)
-        _INDEX_CACHE[n] = idx
+    _INDEX_CACHE[n] = idx
+    while len(_INDEX_CACHE) > _INDEX_CACHE_WIDTHS:
+        del _INDEX_CACHE[next(iter(_INDEX_CACHE))]
     return idx
 
 
@@ -355,18 +350,14 @@ def tree_exists(board: Board2xN, b1: Border, b2: Border, r1: int, r2: int) -> bo
     vertex adjacent to it (off-path vertices then hang off the path as
     leaves).
     """
-    sec = _require_section(board, b1, b2)
-    c1 = _vertex_cell(board, r1, sec)
-    c2 = _vertex_cell(board, r2, sec)
+    c1, c2 = geo.section_cells(board, b1, b2, r1, r2)
     return pathsweep.path_exists((b1.t, b2.t), (b1.b, b2.b), c1, c2)
 
 
 def zero_test(board: Board2xN, z: ZKey) -> bool:
     """Does the section hold a d-coloured r1-r2 path that dominates it, with
     every off-path cell coloured from I + {d}?"""
-    sec = _require_section(board, z.b1, z.b2)
-    c1 = _vertex_cell(board, z.r1, sec)
-    c2 = _vertex_cell(board, z.r2, sec)
+    c1, c2 = geo.section_cells(board, z.b1, z.b2, z.r1, z.r2)
     d = z.d
     if not 0 <= d < len(board.palette):
         raise InputError(f"colour {d} outside the palette")
@@ -381,44 +372,10 @@ def zero_test(board: Board2xN, z: ZKey) -> bool:
     return pathsweep.path_exists((z.b1.t, z.b2.t), (z.b1.b, z.b2.b), c1, c2, on_ok, off_ok)
 
 
-def _require_section(board, b1, b2):
-    for b in (b1, b2):
-        if not (0 <= b.t <= board.n and 0 <= b.b <= board.n):
-            raise InputError(f"border {b} out of range")
-    if not (b1.t <= b2.t and b1.b <= b2.b):
-        raise InputError(f"borders not ordered: {b1} vs {b2}")
-    geom = (b1.t, b1.b, b2.t, b2.b)
-    if not _connected_section(*geom):
-        raise InputError(f"borders {b1}, {b2} do not bound a section")
-    return geom
-
-
-def _vertex_cell(board, vertex, geom):
-    row, col = divmod(vertex, board.n)
-    t1, bb1, t2, bb2 = geom
-    inside = (row == 0 and t1 <= col < t2) or (row == 1 and bb1 <= col < bb2)
-    if not inside:
-        raise InputError(f"vertex {vertex} not inside the section")
-    return (row, col)
-
-
 def _section_masks(board, index):
     """Bitmask of colours present in each section (per board)."""
-    n = board.n
-    # rowmask[r][a][b] = colours of row r in columns [a, b)
-    rowmask = []
-    for r in range(2):
-        table = [[0] * (n + 1) for _ in range(n + 1)]
-        for a in range(n + 1):
-            acc = 0
-            for b in range(a + 1, n + 1):
-                acc |= 1 << board.cells[r][b - 1]
-                table[a][b] = acc
-        rowmask.append(table)
-    masks = np.zeros(len(index.geoms), dtype=np.int64)
-    for sid, (t1, bb1, t2, bb2) in enumerate(index.geoms):
-        masks[sid] = rowmask[0][t1][t2] | rowmask[1][bb1][bb2]
-    return masks
+    bits = np.left_shift(1, np.array(board.cells, dtype=np.int64))
+    return np.bitwise_or.reduce(np.where(index.cells, bits, 0), axis=(1, 2))
 
 
 def _zero_slots(board, index):
@@ -478,12 +435,11 @@ class DPTable:
     def _zkey(self, slot, d, mask):
         sid, r1, r2 = self._index.slots[slot]
         t1, bb1, t2, bb2 = self._index.geoms[sid]
-        n = self.board.n
         return ZKey(
             Border(t1, bb1),
             Border(t2, bb2),
-            r1[0] * n + r1[1],
-            r2[0] * n + r2[1],
+            self.board.vertex(*r1),
+            self.board.vertex(*r2),
             d,
             mask,
         )
@@ -538,12 +494,10 @@ class DPTable:
         raise FlooditError("no relaxation rule reproduces the stored value")
 
     def _slot_of_key(self, z: ZKey):
-        geom = _require_section(self.board, z.b1, z.b2)
-        sid = self._index.by_geom.get(geom)
+        c1, c2 = geo.section_cells(self.board, z.b1, z.b2, z.r1, z.r2)
+        sid = self._index.by_geom.get((*z.b1, *z.b2))
         if sid is None:
             raise InputError(f"no section for borders {z.b1}, {z.b2}")
-        c1 = _vertex_cell(self.board, z.r1, geom)
-        c2 = _vertex_cell(self.board, z.r2, geom)
         slot = self._index.pair_slot(sid, c1, c2)
         if slot is None:
             raise InputError(f"({z.r1}, {z.r2}) is not a valid attachment pair")
@@ -563,14 +517,11 @@ class DPTable:
         ls = int(index.rec_left[i])
         rs = int(index.rec_right[i])
         _t1, _bb1, t, bb = index.geoms[index.slots[ls][0]]
-        x1 = index.slots[ls][2]
-        x2 = index.slots[rs][1]
-        n = self.board.n
         return BackPtr(
             "split",
             border=Border(t, bb),
-            x1=x1[0] * n + x1[1],
-            x2=x2[0] * n + x2[1],
+            x1=self.board.vertex(*index.slots[ls][2]),
+            x2=self.board.vertex(*index.slots[rs][1]),
         )
 
     def board_value(self, target: Optional[int] = None):
@@ -637,7 +588,7 @@ def _dense_seeds(board, index, masks, dtype, inf):
     planes = 1 << c
     nslots = len(index.slots)
     if nslots * c * planes > 400_000_000:
-        raise BudgetExceededError("dense table would not fit in memory")
+        raise CapacityError("dense table would not fit in memory")
     all_masks = np.arange(planes, dtype=np.int64)
     t_init = np.full((nslots, c, planes), inf, dtype=dtype)
     for slot, d0 in _zero_slots(board, index):
@@ -795,7 +746,7 @@ def _scalar_keys(index, masks, c):
     for sid, _r1, _r2 in index.slots:
         total += c * (1 << bin(int(masks[sid])).count("1"))
         if total > _SCALAR_KEY_GUARD:
-            raise BudgetExceededError(
+            raise CapacityError(
                 "key space too large for the scalar engine; reduce the palette"
             )
     return total
@@ -993,7 +944,6 @@ def reconstruct(table: DPTable, board: Optional[Board2xN] = None) -> list:
     board = board or table.board
     index = table._index
     masks = table._masks
-    n = board.n
 
     def derive(slot, d, mask):
         rule = table._rule_of(slot, d, mask)
@@ -1003,8 +953,7 @@ def reconstruct(table: DPTable, board: Optional[Board2xN] = None) -> list:
         m = int(masks[sid])
         if rule[0] == "recolour":
             moves = derive(slot, rule[1], (mask | (1 << d)) & m)
-            r1 = index.slots[slot][1]
-            moves.append(Move(r1[0] * n + r1[1], d))
+            moves.append(Move(board.vertex(*index.slots[slot][1]), d))
             return moves
         i = rule[1]
         ls = int(index.rec_left[i])

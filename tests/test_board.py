@@ -133,6 +133,14 @@ def test_section_rejects_unordered_borders():
         section_vertices(b, Border(2, 2), Border(1, 1))
 
 
+def test_section_rejects_out_of_range_borders():
+    b = board_n(3)
+    with pytest.raises(InputError):
+        section_vertices(b, Border(0, 0), Border(5, 5))
+    with pytest.raises(InputError):
+        is_section(b, Border(0, 0), Border(5, 5))
+
+
 def test_incident_straight_border():
     b = board_n(4)
     assert incident_vertices(b, Border(2, 2), "right") == [2, 6]

@@ -145,6 +145,13 @@ def test_bench_palette_over_cap_exits_3(capsys):
     assert main(["bench", "--n-range", "2..2", "--colours", "40"]) == 3
 
 
+def test_bench_key_space_over_cap_reports_capacity(capsys):
+    assert main(["bench", "--n-range", "10..10", "--colours", "20"]) == 3
+    err = capsys.readouterr().err
+    assert "key space too large" in err
+    assert "time budget" not in err
+
+
 def test_usage_error_exit_1(capsys):
     assert main([]) == 1
     assert main(["solve"]) == 1

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floodit.board import Board2xN, Border, board_from_tokens, to_graph
+from floodit.board import (
+    Board2xN,
+    Border,
+    board_from_tokens,
+    border_leq,
+    crossing_edges,
+    incident_vertices,
+    is_section,
+    low_skew_borders,
+    to_graph,
+)
 from floodit.engine import replay
 from floodit.errors import BudgetExceededError, CapacityError, InputError
 from floodit.gen import colour_tokens, random_board
@@ -177,6 +187,60 @@ def test_low_skew_index_exact_on_all_2x4_boards():
         assert value == min_moves(graph).value, cells
         for d in range(c):
             assert table.board_value(d)[0] == min_moves(graph, target=d).value, (cells, d)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_index_geometry_matches_board_functions(n):
+    # The index's sections, slots and split records, rebuilt from the public
+    # board functions and tree_exists over all low-skew border pairs.
+    board = Board2xN(n, ((0,) * n, (0,) * n), ("a",))
+    borders = low_skew_borders(n)
+    sections = [(b1, b2) for b1 in borders for b2 in borders
+                if border_leq(b1, b2) and is_section(board, b1, b2)]
+    slots = set()
+    for b1, b2 in sections:
+        for r1 in incident_vertices(board, b1, "right", within=(b1, b2)):
+            for r2 in incident_vertices(board, b2, "left", within=(b1, b2)):
+                if tree_exists(board, b1, b2, r1, r2):
+                    slots.add((b1, b2, r1, r2))
+    records = set()
+    for parent in slots:
+        b1, b2, r1, r2 = parent
+        for k in borders:
+            for x1, x2 in crossing_edges(board, k, within=(b1, b2)):
+                left, right = (b1, k, r1, x1), (k, b2, x2, r2)
+                if left in slots and right in slots:
+                    records.add((parent, left, right))
+
+    index = dp2xn._SectionIndex(n)
+    got_slots = []
+    for sid, r1, r2 in index.slots:
+        t1, bb1, t2, bb2 = index.geoms[sid]
+        got_slots.append((Border(t1, bb1), Border(t2, bb2), board.vertex(*r1), board.vertex(*r2)))
+    assert sorted(index.by_geom) == sorted((*b1, *b2) for b1, b2 in sections)
+    assert sorted(got_slots) == sorted(slots)
+    assert len(index.rec_parent) == len(records)
+    assert {(got_slots[p], got_slots[l], got_slots[r]) for p, l, r in zip(
+        index.rec_parent.tolist(), index.rec_left.tolist(), index.rec_right.tolist())} == records
+
+
+def test_index_cache_keeps_the_most_recent_widths(monkeypatch):
+    monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
+    bound = dp2xn._INDEX_CACHE_WIDTHS
+    assert bound >= 3
+    widths = range(1, bound + 3)
+    for n in widths:
+        solve(board_of("a" * n, "b" * n))
+        assert len(dp2xn._INDEX_CACHE) <= bound
+    assert list(dp2xn._INDEX_CACHE) == list(widths)[-bound:]
+    latest = dp2xn._INDEX_CACHE[widths[-1]]
+
+    def rebuild(*args):
+        raise AssertionError("index rebuilt")
+
+    monkeypatch.setattr(dp2xn, "_SectionIndex", rebuild)
+    _, table = solve(board_of("b" * widths[-1], "a" * widths[-1]))
+    assert table._index is latest
 
 
 def test_mode_agreement_random_boards():
