@@ -71,20 +71,23 @@ structural order.  A split points from a section to two sections with fewer
 cells, and the recolour rule from ignore set I to I + {d}.  So the pass walks
 layers of equal cell count upwards, applies the split rule from the final
 earlier layers, then walks the ignore sets by decreasing popcount and closes
-the one same-plane case, d in I, with a single step.  It is vectorised up to
-_DENSE_COLOUR_MAX colours, with a plain dict fallback above.  "worklist" is a
-label-setting pass that settles entries in value order, an independent
-cross-check.  Up to _DENSE_COLOUR_MAX colours it is Dial's bucketed pass over
-the same dense planes as the reference pass; above it, where no dense plane
-fits, it is a heap of scalar keys.
-Ignore sets are canonicalised to the colours present in the section for
-table presentation; the dense engines carry full bitmask planes internally,
-on which equivalent masks provably hold equal values.
+the one same-plane case, d in I, with a single step.  "worklist" is Dial's
+bucketed label-setting pass over the same table, which settles entries in
+value order, an independent cross-check.
+
+One table store serves every palette.  Its ignore-set planes have one bit
+per colour that occurs on the board: present colours take bits 0..k-1 in
+palette order, absent colours take none, so the table holds slots x palette
+x 2^k entries.  Recolouring to an absent colour d leaves I + {d} on the same
+plane, the same-plane case both passes already close.  Keys outside the table
+name ignore sets as palette bitmasks canonicalised to the colours present in
+the section (ZKey.ignore).  Inside, a plane is any subset of the board's
+colours; masks that agree on a section's colours provably hold equal values
+there.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -104,10 +107,16 @@ from .errors import (
 
 INF = 10**9
 DP_COLOUR_CAP = 32
-_DENSE_COLOUR_MAX = 8
-_SCALAR_KEY_GUARD = 3_000_000
+# Table entries (slots x palette x 2^colours on the board) a solve may
+# allocate.  The table ends in int32, 4 B per entry, but a solve peaks at
+# about 14 B per entry in reference mode and 18 B in worklist mode: int16
+# working planes, the pass's temporaries of the same shape, and the int32
+# result.  Measured at 48.4M entries (2x10, 11 of 16 colours on the board):
+# 692 MB and 867 MB peak RSS.  So the cap keeps a solve under about 1 GB.
+_TABLE_ENTRY_CAP = 50_000_000
 _BUCKET_INF = (1 << 14) - 1
-_BUCKET_CHUNK = 1 << 18
+# Entries one chunk of split sums may gather: 32 MB of int16.
+_CHUNK_ENTRIES = 1 << 24
 
 
 def _check_deadline(deadline):
@@ -173,7 +182,6 @@ class _SectionIndex:
         self.slot_of = slot_of
         self.slot_sid = np.array([s[0] for s in self.slots], dtype=np.int64)
         self._build_records(bt, bb, deadline)
-        self._by_side = None
         self._layers = None
 
     def pair_slot(self, sid, r1, r2):
@@ -234,19 +242,6 @@ class _SectionIndex:
             np.concatenate(a) if a else np.zeros(0, np.int32) for a in parts)
         # rec_start[s]:rec_start[s + 1] holds the records of parent slot s.
         self.rec_start = np.searchsorted(self.rec_parent, np.arange(len(self.slots) + 1))
-
-    def records_by_side(self):
-        """Record indices ordered by left child and by right child, with the
-        offsets of each slot's run in both orders."""
-        if self._by_side is None:
-            slots = np.arange(len(self.slots) + 1)
-            by_left = np.argsort(self.rec_left, kind="stable")
-            by_right = np.argsort(self.rec_right, kind="stable")
-            self._by_side = (
-                by_left, np.searchsorted(self.rec_left[by_left], slots),
-                by_right, np.searchsorted(self.rec_right[by_right], slots),
-            )
-        return self._by_side
 
     def layers(self):
         """Slots and split records in structural order, for the reference
@@ -313,8 +308,8 @@ class TableStats:
     reference pass walked, 0 in worklist mode.  relaxations counts the
     entries that end finite and nonzero, which in worklist mode are the
     entries settled at a nonzero value, so both modes give the same count.
-    Up to _DENSE_COLOUR_MAX colours it is taken over full bitmask planes,
-    above that over canonical keys.
+    It is taken over every ignore-set plane of the colours on the board, not
+    only the canonical ones.
     """
 
     keys: int
@@ -372,10 +367,20 @@ def zero_test(board: Board2xN, z: ZKey) -> bool:
     return pathsweep.path_exists((z.b1.t, z.b2.t), (z.b1.b, z.b2.b), c1, c2, on_ok, off_ok)
 
 
-def _section_masks(board, index):
-    """Bitmask of colours present in each section (per board)."""
-    bits = np.left_shift(1, np.array(board.cells, dtype=np.int64))
-    return np.bitwise_or.reduce(np.where(index.cells, bits, 0), axis=(1, 2))
+def _plane_bits(board):
+    """Ignore-set plane bit of each palette colour: the colours on the board
+    take bits 0..k-1 in palette order, absent colours none (0)."""
+    present = np.zeros(len(board.palette), dtype=bool)
+    present[np.ravel(board.cells)] = True
+    bits = np.zeros(len(present), dtype=np.int64)
+    bits[present] = 1 << np.arange(np.count_nonzero(present), dtype=np.int64)
+    return bits
+
+
+def _section_masks(board, index, bits):
+    """Plane bits of the colours present in each section (per board)."""
+    return np.bitwise_or.reduce(np.where(index.cells, bits[np.array(board.cells)], 0),
+                                axis=(1, 2))
 
 
 def _zero_slots(board, index):
@@ -400,15 +405,15 @@ def _zero_slots(board, index):
 class DPTable:
     """Solved table: values over the key space plus solve metadata."""
 
-    def __init__(self, board, index, mode, masks, target, dense=None, scalar=None,
+    def __init__(self, board, index, mode, masks, bits, target, dense,
                  sweeps=0, relaxations=0):
         self.board = board
         self.mode = mode
         self.target = target
         self._index = index
         self._masks = masks
+        self._bits = bits.tolist()  # plane bit per palette colour
         self._dense = dense
-        self._scalar = scalar
         self._sweeps = sweeps
         self._relaxations = relaxations
         self._entries = None
@@ -417,59 +422,54 @@ class DPTable:
 
     # -- lookups ---------------------------------------------------------
 
-    def _slot_value(self, slot, d, mask):
-        if self._dense is not None:
-            return int(self._dense[slot, d, mask])
-        v = self._scalar.get((slot, d, mask))
-        return INF if v is None else v
+    def _plane(self, ignore, sid):
+        """Plane of a palette ignore bitmask, canonical for section sid."""
+        plane = sum(b for d, b in enumerate(self._bits) if ignore >> d & 1)
+        return plane & int(self._masks[sid])
 
     def value_of(self, z: ZKey):
         """Value for a key; +inf for never-relaxed keys."""
         slot, sid = self._slot_of_key(z)
         if not 0 <= z.d < len(self.board.palette):
             raise InputError(f"colour {z.d} outside the palette")
-        mask = z.ignore & int(self._masks[sid])
-        v = self._slot_value(slot, z.d, mask)
+        v = int(self._dense[slot, z.d, self._plane(z.ignore, sid)])
         return float("inf") if v >= INF else v
 
-    def _zkey(self, slot, d, mask):
-        sid, r1, r2 = self._index.slots[slot]
-        t1, bb1, t2, bb2 = self._index.geoms[sid]
-        return ZKey(
-            Border(t1, bb1),
-            Border(t2, bb2),
-            self.board.vertex(*r1),
-            self.board.vertex(*r2),
-            d,
-            mask,
-        )
+    def _canonical(self):
+        """canon[slot, plane]: the plane holds only colours of the slot's
+        section."""
+        planes = np.arange(self._dense.shape[2])
+        slot_masks = self._masks[self._index.slot_sid]
+        return (planes[None, :] & ~slot_masks[:, None]) == 0
 
     def entries(self) -> dict:
         """All finite keys with canonical ignore masks."""
-        if self._entries is not None:
-            return self._entries
-        out = {}
-        c = len(self.board.palette)
-        for slot, (sid, _r1, _r2) in enumerate(self._index.slots):
-            m = int(self._masks[sid])
-            for d in range(c):
-                sub = m
-                while True:
-                    v = self._slot_value(slot, d, sub)
-                    if v < INF:
-                        out[self._zkey(slot, d, sub)] = v
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & m
-        self._entries = out
-        return out
+        if self._entries is None:
+            finite = (self._dense < INF) & self._canonical()[:, None, :]
+            slots, ds, planes = np.nonzero(finite)
+            values = self._dense[slots, ds, planes]
+            # Palette bitmask of each plane.
+            ignore = np.zeros_like(planes)
+            for j, col in enumerate(np.flatnonzero(self._bits).tolist()):
+                ignore |= ((planes >> j) & 1) << col
+            index, vertex = self._index, self.board.vertex
+            heads = []  # borders and attachment vertices per slot
+            for sid, r1, r2 in index.slots:
+                t1, bb1, t2, bb2 = index.geoms[sid]
+                heads.append((Border(t1, bb1), Border(t2, bb2), vertex(*r1), vertex(*r2)))
+            self._entries = {
+                ZKey(*heads[slot], d, m): v
+                for slot, d, m, v in zip(slots.tolist(), ds.tolist(),
+                                         ignore.tolist(), values.tolist())
+            }
+        return self._entries
 
     def _rule_of(self, slot, d, mask):
         """Find a relaxation rule achieving the stored value.
 
         Returns ("zero",), ("recolour", d_from) or ("split", record_index).
         """
-        v = self._slot_value(slot, d, mask)
+        v = int(self._dense[slot, d, mask])
         if v >= INF:
             raise InputError("entry has no finite value")
         if v == 0:
@@ -477,19 +477,19 @@ class DPTable:
         index = self._index
         c = len(self.board.palette)
         m = int(self._masks[index.slot_sid[slot]])
-        child_mask = (mask | (1 << d)) & m
+        child_mask = (mask | self._bits[d]) & m
         for dp in range(c):
-            if self._slot_value(slot, dp, child_mask) == v - 1:
+            if int(self._dense[slot, dp, child_mask]) == v - 1:
                 return ("recolour", dp)
         for i in range(index.rec_start[slot], index.rec_start[slot + 1]):
             ls = int(index.rec_left[i])
             rs = int(index.rec_right[i])
             lm = int(self._masks[index.slot_sid[ls]])
             rm = int(self._masks[index.slot_sid[rs]])
-            lv = self._slot_value(ls, d, mask & lm)
+            lv = int(self._dense[ls, d, mask & lm])
             if lv > v:
                 continue
-            if lv + self._slot_value(rs, d, mask & rm) == v:
+            if lv + int(self._dense[rs, d, mask & rm]) == v:
                 return ("split", i)
         raise FlooditError("no relaxation rule reproduces the stored value")
 
@@ -506,8 +506,7 @@ class DPTable:
     def back_pointer(self, z: ZKey) -> "BackPtr":
         """Which rule produced the key's value (re-derived on demand)."""
         slot, sid = self._slot_of_key(z)
-        mask = z.ignore & int(self._masks[sid])
-        rule = self._rule_of(slot, z.d, mask)
+        rule = self._rule_of(slot, z.d, self._plane(z.ignore, sid))
         if rule[0] == "zero":
             return BackPtr("zero")
         if rule[0] == "recolour":
@@ -536,7 +535,7 @@ class DPTable:
         goal = None
         for slot in _goal_slots(self.board, self._index):
             for d in range(c) if target is None else (target,):
-                v = self._slot_value(slot, d, 0)
+                v = int(self._dense[slot, d, 0])
                 if v < best:
                     best = v
                     goal = (slot, d)
@@ -550,16 +549,8 @@ class DPTable:
         return int(v) + between
 
     def stats(self) -> TableStats:
-        if self._dense is not None:
-            # Canonical planes: ignore sets inside the section's colours.
-            planes = np.arange(self._dense.shape[2])
-            slot_masks = self._masks[self._index.slot_sid]
-            canon = (planes[None, :] & ~slot_masks[:, None]) == 0
-            values = self._dense.transpose(1, 0, 2)[:, canon]
-            values = values[values < INF]
-        else:
-            values = np.fromiter(self._scalar.values(), dtype=np.int64,
-                                 count=len(self._scalar))
+        values = self._dense.transpose(1, 0, 2)[:, self._canonical()]
+        values = values[values < INF]
         return TableStats(
             keys=len(values),
             zeros=int(np.count_nonzero(values == 0)),
@@ -581,26 +572,21 @@ def _goal_slots(board, index):
     return [slot for slot in index.slot_of[sid].ravel().tolist() if slot >= 0]
 
 
-def _dense_seeds(board, index, masks, dtype, inf):
-    """Zero seeds over full bitmask planes, shape (slot, colour, ignore set),
-    and the recolour map imap[d, I] = I + {d}."""
-    c = len(board.palette)
-    planes = 1 << c
-    nslots = len(index.slots)
-    if nslots * c * planes > 400_000_000:
-        raise CapacityError("dense table would not fit in memory")
+def _dense_seeds(board, index, masks, bits, dtype, inf):
+    """Zero seeds over the ignore-set planes, shape (slot, colour, ignore
+    set), and the recolour map imap[d, I] = I + {d}."""
+    planes = 1 << np.count_nonzero(bits)
     all_masks = np.arange(planes, dtype=np.int64)
-    t_init = np.full((nslots, c, planes), inf, dtype=dtype)
+    t_init = np.full((len(index.slots), len(bits), planes), inf, dtype=dtype)
     for slot, d0 in _zero_slots(board, index):
-        sid = index.slot_sid[slot]
-        base = int(masks[sid]) & ~(1 << d0)
+        base = int(masks[index.slot_sid[slot]]) & ~int(bits[d0])
         t_init[slot, d0, (all_masks & base) == base] = 0
-    imap = all_masks[None, :] | (1 << np.arange(c, dtype=np.int64))[:, None]
+    imap = all_masks[None, :] | bits[:, None]
     return t_init, imap
 
 
-def _solve_dense(board, index, masks, deadline):
-    """One relaxation pass in structural order over full bitmask planes.
+def _solve_dense(board, index, masks, bits, deadline):
+    """One relaxation pass in structural order over the ignore-set planes.
 
     Layers are walked by increasing cell count.  Within a layer the split
     rule reads only earlier layers, which are final.  The recolour rule then
@@ -620,21 +606,20 @@ def _solve_dense(board, index, masks, deadline):
     # that a layer's popcount run is one strided view and a split chunk
     # gathers and min-reduces contiguous runs per plane.  Values stay within
     # the board's cell count, and the sum of two values stays inside int16.
-    c = len(board.palette)
-    planes = 1 << c
     inf = _BUCKET_INF
-    seeds, imap = _dense_seeds(board, index, masks, np.int16, inf)
+    seeds, imap = _dense_seeds(board, index, masks, bits, np.int16, inf)
+    c, planes = seeds.shape[1:]
     order, slot_bounds, rec_start, left, right = index.layers()
     popcount = np.array([bin(q).count("1") for q in range(planes)])
     perm = np.argsort(-popcount, kind="stable")
     inv = np.empty_like(perm)
     inv[perm] = np.arange(planes)
     pmap = inv[imap[:, perm]]
-    pc_bounds = np.searchsorted(-popcount[perm], np.arange(-c, 2)).tolist()
+    pc_bounds = np.searchsorted(-popcount[perm], np.arange(-popcount[-1], 2)).tolist()
     t = np.ascontiguousarray(seeds[order][:, :, perm].transpose(1, 2, 0))
     flat = t.reshape(c * planes, -1)
 
-    max_chunk_records = max(1, 4_000_000 // planes)
+    max_chunk_records = max(1, _CHUNK_ENTRIES // (c * planes))
     for lo, hi in zip(slot_bounds[:-1].tolist(), slot_bounds[1:].tolist()):
         _check_deadline(deadline)
         parents = lo + np.flatnonzero(np.diff(rec_start[lo:hi + 1]))
@@ -663,8 +648,9 @@ def _solve_dense(board, index, masks, deadline):
     return table, len(slot_bounds) - 1, relaxations
 
 
-def _solve_buckets(board, index, masks, deadline):
-    """Bucketed label-setting pass (Dial's algorithm) over full bitmask planes.
+def _solve_buckets(board, index, masks, bits, deadline):
+    """Bucketed label-setting pass (Dial's algorithm) over the ignore-set
+    planes.
 
     Settles entries bucket by bucket in value order 0, 1, 2, ...: an entry
     is final once its tentative value is the least among unsettled entries.
@@ -684,17 +670,18 @@ def _solve_buckets(board, index, masks, deadline):
     # within the board's cell count, and the sum of two tentative values
     # stays inside int16.
     inf = _BUCKET_INF
-    seeds, imap = _dense_seeds(board, index, masks, np.int16, inf)
+    seeds, imap = _dense_seeds(board, index, masks, bits, np.int16, inf)
     best = np.ascontiguousarray(seeds.transpose(1, 2, 0))
     val = np.full_like(best, inf)
     flat_best = best.reshape(-1, best.shape[2])
     flat_val = val.reshape(flat_best.shape)
     rec_left, rec_right, rec_parent = index.rec_left, index.rec_right, index.rec_parent
+    chunk_records = max(1, _CHUNK_ENTRIES // len(flat_val))
 
     def offer_splits(recs):
-        for lo in range(0, len(recs), _BUCKET_CHUNK):
+        for lo in range(0, len(recs), chunk_records):
             _check_deadline(deadline)
-            chunk = recs[lo:lo + _BUCKET_CHUNK]
+            chunk = recs[lo:lo + chunk_records]
             sums = (np.take(flat_val, rec_left[chunk], axis=1)
                     + np.take(flat_val, rec_right[chunk], axis=1))
             parents = rec_parent[chunk]
@@ -741,152 +728,6 @@ def _solve_buckets(board, index, masks, deadline):
     return np.ascontiguousarray(table.transpose(2, 0, 1)), relaxations
 
 
-def _scalar_keys(index, masks, c):
-    total = 0
-    for sid, _r1, _r2 in index.slots:
-        total += c * (1 << bin(int(masks[sid])).count("1"))
-        if total > _SCALAR_KEY_GUARD:
-            raise CapacityError(
-                "key space too large for the scalar engine; reduce the palette"
-            )
-    return total
-
-
-def _solve_scalar(board, index, masks, deadline):
-    """The structural-order pass of _solve_dense over canonical dict keys, for
-    palettes too big to vectorise.  Within a slot, ignore sets are taken in
-    decreasing popcount."""
-    c = len(board.palette)
-    _scalar_keys(index, masks, c)
-    zero_vals = {}
-    for slot, d0 in _zero_slots(board, index):
-        m = int(masks[index.slot_sid[slot]])
-        base = m & ~(1 << d0)
-        for extra in ({0, 1 << d0} if (1 << d0) & m else {0}):
-            zero_vals[(slot, d0, base | (extra & m))] = 0
-
-    order, slot_bounds = index.layers()[:2]
-    slot_masks = masks[index.slot_sid].tolist()
-    rec_start = index.rec_start.tolist()
-    rec_left = index.rec_left.tolist()
-    rec_right = index.rec_right.tolist()
-    table = {}
-    for lo, hi in zip(slot_bounds[:-1].tolist(), slot_bounds[1:].tolist()):
-        _check_deadline(deadline)
-        for slot in order[lo:hi].tolist():
-            m = slot_masks[slot]
-            subs = []
-            sub = m
-            while True:
-                subs.append(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & m
-            subs.sort(key=lambda s: -bin(s).count("1"))
-            for sub in subs:
-                vals = []
-                for d in range(c):
-                    best = zero_vals.get((slot, d, sub), INF)
-                    child_mask = (sub | (1 << d)) & m
-                    if child_mask != sub:
-                        for dp in range(c):
-                            v = table.get((slot, dp, child_mask), INF) + 1
-                            if v < best:
-                                best = v
-                    for i in range(rec_start[slot], rec_start[slot + 1]):
-                        ls, rs = rec_left[i], rec_right[i]
-                        lv = table.get((ls, d, sub & slot_masks[ls]), INF)
-                        if lv >= best:
-                            continue
-                        rv = table.get((rs, d, sub & slot_masks[rs]), INF)
-                        if lv + rv < best:
-                            best = lv + rv
-                    vals.append(best)
-                # Same-plane recolour: (sub + {d}) & m == sub.
-                closed = min(vals) + 1
-                for d, best in enumerate(vals):
-                    if (sub | (1 << d)) & m == sub:
-                        best = min(best, closed)
-                    if best < INF:
-                        table[(slot, d, sub)] = best
-    relaxations = sum(1 for v in table.values() if v > 0)
-    return table, len(slot_bounds) - 1, relaxations
-
-
-def _solve_heap(board, index, masks, deadline):
-    """Label-setting pass for palettes too big for dense planes: pop entries
-    in value order, finalise, and offer all rule consequences whose other
-    inputs are already final."""
-    c = len(board.palette)
-    by_left, left_start, by_right, right_start = index.records_by_side()
-    slot_sid = index.slot_sid
-    rec_left, rec_right = index.rec_left, index.rec_right
-    rec_parent = index.rec_parent
-
-    final = {}
-    best = {}
-    heap = []
-    relaxations = 0  # entries settled at a nonzero value
-
-    def offer(value, key):
-        if key in final:
-            return
-        cur = best.get(key)
-        if cur is None or value < cur:
-            best[key] = value
-            heapq.heappush(heap, (value, key))
-
-    for slot, d0 in _zero_slots(board, index):
-        m = int(masks[slot_sid[slot]])
-        base = m & ~(1 << d0)
-        offer(0, (slot, d0, base))
-        full = (base | (1 << d0)) & m
-        if full != base:
-            offer(0, (slot, d0, full))
-
-    ticker = 0
-    while heap:
-        ticker += 1
-        if ticker % 2048 == 0:
-            _check_deadline(deadline)
-        v, key = heapq.heappop(heap)
-        if key in final:
-            continue
-        final[key] = v
-        if v > 0:
-            relaxations += 1
-        slot, d, sub = key
-        m = int(masks[slot_sid[slot]])
-        # recolour-rule parents: (slot, dp, Ip) with (Ip | bit(dp)) n M == sub
-        for dp in range(c):
-            bit = 1 << dp
-            if bit & m:
-                if bit & sub:
-                    offer(v + 1, (slot, dp, sub))
-                    offer(v + 1, (slot, dp, sub & ~bit))
-            else:
-                offer(v + 1, (slot, dp, sub))
-        # split-rule parents, with this key as the left or the right part
-        for side, recs in (("L", by_left[left_start[slot]:left_start[slot + 1]]),
-                           ("R", by_right[right_start[slot]:right_start[slot + 1]])):
-            for i in recs.tolist():
-                pslot = int(rec_parent[i])
-                pm = int(masks[slot_sid[pslot]])
-                other = int(rec_right[i]) if side == "L" else int(rec_left[i])
-                om = int(masks[slot_sid[other]])
-                diff = pm & ~m
-                extra = diff
-                while True:
-                    pmask = sub | extra
-                    partner = final.get((other, d, pmask & om))
-                    if partner is not None:
-                        offer(v + partner, (pslot, d, pmask))
-                    if extra == 0:
-                        break
-                    extra = (extra - 1) & diff
-    return final, relaxations
-
-
 def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference",
           time_budget: Optional[float] = None):
     """Minimum move count to flood the board (optionally with a fixed final
@@ -900,25 +741,19 @@ def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference"
         raise InputError(f"unknown mode {mode!r}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     index = _get_index(board.n, deadline)
-    masks = _section_masks(board, index)
-
+    bits = _plane_bits(board)
+    entries = len(index.slots) * c << int(np.count_nonzero(bits))
+    if entries > _TABLE_ENTRY_CAP:
+        raise CapacityError(
+            f"key space too large: {entries:,} table entries, cap {_TABLE_ENTRY_CAP:,}; "
+            "use fewer colours or a narrower board")
+    masks = _section_masks(board, index, bits)
     if mode == "reference":
-        if c <= _DENSE_COLOUR_MAX:
-            dense, sweeps, relax = _solve_dense(board, index, masks, deadline)
-            table = DPTable(board, index, mode, masks, target, dense=dense,
-                            sweeps=sweeps, relaxations=relax)
-        else:
-            scalar, sweeps, relax = _solve_scalar(board, index, masks, deadline)
-            table = DPTable(board, index, mode, masks, target, scalar=scalar,
-                            sweeps=sweeps, relaxations=relax)
-    elif c <= _DENSE_COLOUR_MAX:
-        dense, relax = _solve_buckets(board, index, masks, deadline)
-        table = DPTable(board, index, mode, masks, target, dense=dense,
-                        sweeps=0, relaxations=relax)
+        dense, sweeps, relax = _solve_dense(board, index, masks, bits, deadline)
     else:
-        scalar, relax = _solve_heap(board, index, masks, deadline)
-        table = DPTable(board, index, mode, masks, target, scalar=scalar,
-                        sweeps=0, relaxations=relax)
+        dense, relax = _solve_buckets(board, index, masks, bits, deadline)
+        sweeps = 0
+    table = DPTable(board, index, mode, masks, bits, target, dense, sweeps, relax)
 
     best, goal = table.board_value(target)
     if best >= INF:
@@ -931,7 +766,7 @@ def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference"
 # -- sequence reconstruction -------------------------------------------------
 
 
-def reconstruct(table: DPTable, board: Optional[Board2xN] = None) -> list:
+def reconstruct(table: DPTable) -> list:
     """Extract a move sequence of length table.value that floods the board.
 
     Walks the solved table: a zero entry emits nothing, a recolour step
@@ -941,7 +776,7 @@ def reconstruct(table: DPTable, board: Optional[Board2xN] = None) -> list:
     """
     if table.value is None or table.goal is None:
         raise InputError("table has no solved goal; run solve() first")
-    board = board or table.board
+    board = table.board
     index = table._index
     masks = table._masks
 
@@ -952,7 +787,7 @@ def reconstruct(table: DPTable, board: Optional[Board2xN] = None) -> list:
         sid = int(index.slot_sid[slot])
         m = int(masks[sid])
         if rule[0] == "recolour":
-            moves = derive(slot, rule[1], (mask | (1 << d)) & m)
+            moves = derive(slot, rule[1], (mask | table._bits[d]) & m)
             moves.append(Move(board.vertex(*index.slots[slot][1]), d))
             return moves
         i = rule[1]

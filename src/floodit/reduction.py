@@ -230,25 +230,18 @@ class ReductionReport:
         return (self.lower_bound, self.upper_bound)
 
 
-def verify_reduction(g: VCInstance, dp_max_n: int = 10, dp_max_colours: int = 8) -> ReductionReport:
+def verify_reduction(g: VCInstance) -> ReductionReport:
     """Empirical check of the compiled board's flood count.
 
     Upper bound: replayed cover strategy for a minimum cover.  Lower bound:
-    palette size minus one, or the exact solver when the board is small
-    enough to afford it.  Verdict EQUAL when the bounds meet.
+    palette size minus one, since a move removes at most one colour from
+    the board.  Verdict EQUAL when the bounds meet.
     """
     board, meta = build_board(g)
     tau, cover = min_vertex_cover(g)
     strategy = cover_strategy(g, cover, board, meta)
     upper = len(strategy)
     lower = len(board.palette) - 1
-    notes = "lower bound from colour count"
-    if board.n <= dp_max_n and len(board.palette) <= dp_max_colours:
-        from . import dp2xn
-
-        value, _table = dp2xn.solve(board)
-        lower = max(lower, value)
-        notes = "lower bound from exact solve"
     verdict = "EQUAL" if lower == upper else "UNRESOLVED"
     return ReductionReport(
         m=meta.m,
@@ -261,5 +254,5 @@ def verify_reduction(g: VCInstance, dp_max_n: int = 10, dp_max_colours: int = 8)
         upper_bound=upper,
         lower_bound=lower,
         verdict=verdict,
-        notes=notes,
+        notes="lower bound from colour count",
     )

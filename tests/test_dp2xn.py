@@ -433,15 +433,40 @@ def test_back_pointer_rules():
     assert kinds == {"zero", "recolour", "split"}
 
 
-def test_big_palette_uses_scalar_reference_engine():
-    # palette larger than the vectorised engine's cap; cells use 6 colours
-    tokens = colour_tokens(9)
-    board = Board2xN(3, ((0, 5, 2), (7, 4, 2)), tokens)
-    vr, tr = solve(board, mode="reference")
-    vw, tw = solve(board, mode="worklist")
-    exact = min_moves(to_graph(board))
-    assert vr == vw == exact.value
-    assert tr.entries() == tw.entries()
-    moves = reconstruct(tr)
-    _, flooded = replay(to_graph(board), moves)
-    assert flooded and len(moves) == vr
+def test_palette_beyond_board_colours_solves_exactly_in_both_modes():
+    # Palettes larger than the colours on the board: 5 of 9, 10 of 10 (every
+    # cell its own colour) and 9 of 12.
+    boards = [
+        Board2xN(3, ((0, 5, 2), (7, 4, 2)), colour_tokens(9)),
+        Board2xN(5, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)), colour_tokens(10)),
+        Board2xN(5, ((11, 0, 3, 6, 7), (5, 9, 0, 2, 10)), colour_tokens(12)),
+    ]
+    for board in boards:
+        vr, tr = solve(board, mode="reference")
+        vw, tw = solve(board, mode="worklist")
+        exact = min_moves(to_graph(board))
+        assert vr == vw == exact.value, board.cells
+        assert tr.entries() == tw.entries()
+        for table in (tr, tw):
+            moves = reconstruct(table)
+            _, flooded = replay(to_graph(board), moves)
+            assert flooded and len(moves) == vr
+    # Keys name ignore sets by palette colour, the table by plane bit.
+    _, table = solve(boards[0])
+    for key, v in table.entries().items():
+        assert table.value_of(key) == v
+        ptr = table.back_pointer(key)
+        if ptr.kind == "recolour":
+            child = ZKey(key.b1, key.b2, key.r1, key.r2, ptr.d_from, key.ignore | (1 << key.d))
+            assert table.value_of(child) == v - 1
+
+
+def test_table_over_capacity_is_rejected_before_solving():
+    # 2x10 with 20 colours on the board: 1476 slots x 20 x 2^20 entries.
+    board = Board2xN(10, (tuple(range(10)), tuple(range(10, 20))), colour_tokens(20))
+    dp2xn._get_index(board.n)
+    for mode in ("reference", "worklist"):
+        start = time.monotonic()
+        with pytest.raises(CapacityError, match="key space too large"):
+            solve(board, mode=mode)
+        assert time.monotonic() - start < 1.0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from floodit import dp2xn
 from floodit.board import to_graph
 from floodit.engine import apply_move, component_of, mono_components, replay
 from floodit.errors import CapacityError, InputError, ParseError
@@ -157,6 +158,20 @@ def test_verify_reduction_reports():
     rep = verify_reduction(parse_graph(K3))
     assert rep.verdict == "UNRESOLVED"
     assert rep.bracket == (32, 34)
+
+
+def test_exact_solve_of_k2_board_is_n_plus_tau():
+    # The only exact check of the N + k claim: the K2 board is 2x14 with
+    # 7 colours, small enough for the dynamic program.
+    g = parse_graph(K2)
+    board, meta = build_board(g)
+    tau, _ = min_vertex_cover(g)
+    assert (board.n, len(board.palette)) == (14, 7)
+    value, table = dp2xn.solve(board)
+    assert value == meta.moves_base + tau == 6
+    moves = dp2xn.reconstruct(table)
+    _, flooded = replay(to_graph(board), moves)
+    assert flooded and len(moves) == value
 
 
 def test_meta_dict_fields():
