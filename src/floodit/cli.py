@@ -7,13 +7,14 @@ Exit codes: 0 success, 1 usage error or failed verification, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
 import time
 
 from . import dp2xn, gen, oracle, reduction
-from .board import parse_board, serialize_board, to_graph
+from .board import Board2xN, parse_board, serialize_board, to_graph
 from .engine import replay
 from .errors import BudgetExceededError, CapacityError, ParseError
 
@@ -24,6 +25,9 @@ EXIT_CAPACITY = 3
 
 AUTO_BFS_MAX_SQUARES = 12
 BENCH_BUDGET_SECONDS = 60.0
+# Boards, up to renaming colours, that verify --exhaustive may check: 2x5
+# with 3 colours has 9,842; 2x5 with 4 colours has 43,947.
+EXHAUSTIVE_BOARD_CAP = 20_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,10 +103,7 @@ def _cmd_solve(args) -> int:
 
     method = args.method
     if method == "auto":
-        if 2 * board.n <= AUTO_BFS_MAX_SQUARES or len(board.palette) > dp2xn.DP_COLOUR_CAP:
-            method = "bfs"
-        else:
-            method = "dp"
+        method = "bfs" if 2 * board.n <= AUTO_BFS_MAX_SQUARES else "dp"
 
     start = time.perf_counter()
     moves = None
@@ -186,18 +187,19 @@ def _cmd_verify(args) -> int:
 
     if args.exhaustive:
         n, colours = args.exhaustive
-        if n > 3 or colours > 3:
-            print("error: exhaustive suite is limited to n <= 3, colours <= 3", file=sys.stderr)
+        if n < 1 or colours < 1:
+            raise _UsageError("--exhaustive needs N >= 1 and C >= 1")
+        colourings = list(itertools.islice(
+            gen.colourings_up_to_renaming(2 * n, colours), EXHAUSTIVE_BOARD_CAP + 1))
+        if len(colourings) > EXHAUSTIVE_BOARD_CAP:
+            print(f"error: exhaustive suite over {n} {colours} exceeds "
+                  f"{EXHAUSTIVE_BOARD_CAP:,} boards up to renaming", file=sys.stderr)
             return EXIT_CAPACITY
-        import itertools
-
         tokens = gen.colour_tokens(colours)
         ok = True
         boards = 0
-        for cells in itertools.product(range(colours), repeat=2 * n):
-            from .board import Board2xN
-
-            board = Board2xN(n, (tuple(cells[:n]), tuple(cells[n:])), tokens)
+        for cells in colourings:
+            board = Board2xN(n, (cells[:n], cells[n:]), tokens)
             graph = to_graph(board)
             vref, tref = dp2xn.solve(board, mode="reference")
             vwl, twl = dp2xn.solve(board, mode="worklist")
@@ -210,7 +212,7 @@ def _cmd_verify(args) -> int:
             boards += 1
             if not ok:
                 break
-        all_ok &= _report(f"exhaustive {n} {colours}", ok, f"{boards} boards")
+        all_ok &= _report(f"exhaustive {n} {colours}", ok, f"{boards} boards up to renaming")
 
     if args.random:
         count, n, colours = args.random
@@ -281,9 +283,8 @@ def _cmd_bench(args) -> int:
         raise _UsageError(f"bad --n-range {args.n_range!r}, expected A..B")
     if lo < 1 or hi < lo:
         raise _UsageError("bad --n-range bounds")
-    if args.colours > dp2xn.DP_COLOUR_CAP:
-        print(f"error: colours above the cap of {dp2xn.DP_COLOUR_CAP}", file=sys.stderr)
-        return EXIT_CAPACITY
+    if args.colours < 1:
+        raise _UsageError("--colours must be >= 1")
     rng = random.Random(args.seed)
     rows = []
     error = None

@@ -5,9 +5,13 @@ on each border, final colour d, ignore set I).  An entry holds the minimum
 number of moves, all played on a section-spanning path, that flood the path
 with colour d and absorb every off-path cell whose colour is not in I.
 
-Seeds: entries whose section already contains a d-coloured r1-r2 path that
-dominates the section, with all off-path colours inside I + {d}, start at 0.
-Two monotone rules relax the rest:
+Zero entries: an entry is 0 iff its section holds a d-coloured r1-r2 path
+that dominates the section, with all off-path colours inside I + {d}
+(zero_test).  The table seeds such entries only on sections of at most four
+cells: the section index lists the dominating paths of those slots once per
+width, and a solve tests their colours in one array operation.  The split
+rule builds every larger zero as 0 + 0 (lemma "seeds compose" below).  Two
+monotone rules relax the rest:
 
   recolour rule   value(d, I)  <=  1 + min_d' value(d', I + {d})
   split rule      value        <=  value(left part) + value(right part)
@@ -66,6 +70,31 @@ exhaustive 2x3 and randomised 2x5/2x7 acceptance criteria 1 and 2, and the
 oracle comparisons elsewhere in the suite.  A restricted value is always an
 upper bound with a replay-validated witness.
 
+Lemma (seeds compose).  On a section of five or more cells, every entry
+that passes zero_test is the split sum of two entries that pass it, over a
+record of the low-skew index.  So seeding sections of at most four cells
+gives every zero, by induction on the cell count; and a zero is never
+wrong, since joining two dominating d-paths through the cut edge gives one.
+Proof.  Let P be the d-path, from r1 at the left border to r2 at the right.
+  1. r1 lies left of r2.  An end cell at a low-skew left border (t1, b1)
+     lies in column min(t1, b1) or max(t1, b1), and one at a right border
+     (t2, b2) in column min(t2, b2) - 1 or max(t2, b2) - 1.  If r1's column
+     were at least r2's, then min(t2, b2) <= max(t1, b1) + 1, and the
+     section, (t2 + b2) - (t1 + b1) cells, would hold at most four.
+  2. So P crosses the column boundary j just right of r1 an odd number of
+     times, and a boundary has only two edges: P crosses it once, along a
+     row-r edge from (r, j - 1) to (r, j).  Cut at the skew-0 border
+     (j, j), which lies between the section's borders.  The pieces of P
+     are the children's r1-r2 paths: their end cells sit on the borders.
+  3. Each piece dominates its child.  An off-path cell whose path
+     neighbour lies across the cut is (1 - r, j - 1) next to (1 - r, j), or
+     the mirror image; the piece's own end cell (r, j - 1) is next to it.
+     So each child is connected, a section of the index, with a slot for
+     its piece, and its off-path colours lie inside I + {d}.
+The bound is tight: a 2x2 section with both end cells in one column has a
+U-shaped zero path that crosses every boundary twice.  The seeded tables are
+checked entry by entry against zero_test in tests/test_dp2xn.py.
+
 Two modes compute the same least fixed point.  "reference" makes one pass in
 structural order.  A split points from a section to two sections with fewer
 cells, and the recolour rule from ignore set I to I + {d}.  So the pass walks
@@ -106,13 +135,17 @@ from .errors import (
 )
 
 INF = 10**9
-DP_COLOUR_CAP = 32
+# Zero seeds come only from sections of at most this many cells; the split
+# rule (0 + 0 = 0) builds every larger zero (lemma "seeds compose").  This is
+# the threshold, not a margin: with 3 some tables change (board values hold),
+# with 1 board values change.
+_SEED_CELLS = 4
 # Table entries (slots x palette x 2^colours on the board) a solve may
 # allocate.  The table ends in int32, 4 B per entry, but a solve peaks at
-# about 14 B per entry in reference mode and 18 B in worklist mode: int16
+# about 14 B per entry in reference mode and 12 B in worklist mode: int16
 # working planes, the pass's temporaries of the same shape, and the int32
 # result.  Measured at 48.4M entries (2x10, 11 of 16 colours on the board):
-# 692 MB and 867 MB peak RSS.  So the cap keeps a solve under about 1 GB.
+# 681 MB and 597 MB peak RSS.  So the cap keeps a solve under about 1 GB.
 _TABLE_ENTRY_CAP = 50_000_000
 _BUCKET_INF = (1 << 14) - 1
 # Entries one chunk of split sums may gather: 32 MB of int16.
@@ -127,7 +160,8 @@ def _check_deadline(deadline):
 class _SectionIndex:
     """Board-independent numbering for one board width: the sections between
     low-skew borders, their attachment pairs admitting a path-dominated
-    spanning tree (slots), and the split records (parent, left, right slot).
+    spanning tree (slots), the split records (parent, left, right slot) and
+    the dominating paths that seed zeros on small sections.
 
     Between borders of skew at most one, a section has at most one end cell
     per row at each border, so a slot is named by its section and the rows
@@ -163,24 +197,41 @@ class _SectionIndex:
                      & self.cells[:, None]).dot(np.arange(1, n + 1)) - 1
         self.slots = []  # (sid, r1cell, r2cell)
         slot_of = np.full((len(self.geoms) + 1, 2, 2), -1, dtype=np.int32)
-        # Path existence is translation invariant: test each shape once.
+        # Zero-seed candidates: every dominating simple r1-r2 path of each
+        # slot whose section has at most _SEED_CELLS cells.  seed_cells[p]
+        # holds path p's cells as flat indices row * n + col, r1 first and
+        # padded with r1; seed_slot[p] is its slot.
+        seed_cells, seed_slot = [], []
+        # Paths are translation invariant: test or list each shape once.
         shapes = {}
-        for sid, (t1, bb1, t2, bb2) in enumerate(self.geoms):
+        for sid, size in enumerate(self.cells.sum(axis=(1, 2)).tolist()):
             _check_deadline(deadline)
+            t1, bb1, t2, bb2 = self.geoms[sid]
             lcols, rcols = self.ends[sid].tolist()
             o = min(t1, bb1)
-            rights = [(b, col) for b, col in enumerate(rcols) if col >= 0]
-            for r1 in [(a, col) for a, col in enumerate(lcols) if col >= 0]:
+            small = size <= _SEED_CELLS
+            rights = [(b, col - o) for b, col in enumerate(rcols) if col >= 0]
+            for r1 in [(a, col - o) for a, col in enumerate(lcols) if col >= 0]:
                 for r2 in rights:
-                    key = (t1 - o, bb1 - o, t2 - o, bb2 - o, r1[0], r1[1] - o, r2[0], r2[1] - o)
-                    ok = shapes.get(key)
-                    if ok is None:
-                        ok = shapes[key] = pathsweep.path_exists((t1, t2), (bb1, bb2), r1, r2)
-                    if ok:
-                        slot_of[sid, r1[0], r2[0]] = len(self.slots)
-                        self.slots.append((sid, r1, r2))
+                    key = (t1 - o, bb1 - o, t2 - o, bb2 - o, *r1, *r2)
+                    found = shapes.get(key)
+                    if found is None:
+                        shape = ((t1 - o, t2 - o), (bb1 - o, bb2 - o), r1, r2)
+                        found = shapes[key] = (list(pathsweep.dominating_paths(*shape))
+                                               if small else pathsweep.path_exists(*shape))
+                    if not found:
+                        continue
+                    slot_of[sid, r1[0], r2[0]] = len(self.slots)
+                    if small:
+                        for path in found:
+                            flat = [row * n + col + o for row, col in path]
+                            seed_cells.append(flat + flat[:1] * (_SEED_CELLS - len(flat)))
+                            seed_slot.append(len(self.slots))
+                    self.slots.append((sid, (r1[0], r1[1] + o), (r2[0], r2[1] + o)))
         self.slot_of = slot_of
         self.slot_sid = np.array([s[0] for s in self.slots], dtype=np.int64)
+        self.seed_cells = np.array(seed_cells, dtype=np.intp).reshape(-1, _SEED_CELLS)
+        self.seed_slot = np.array(seed_slot, dtype=np.intp)
         self._build_records(bt, bb, deadline)
         self._layers = None
 
@@ -323,7 +374,8 @@ class TableStats:
 class BackPtr:
     """Which relaxation rule produced an entry's value.
 
-    kind "zero": seeded directly.  kind "recolour": the value is one more
+    kind "zero": the value is 0, seeded or a split of two zeros; it needs
+    no move.  kind "recolour": the value is one more
     than the entry for colour `d_from` with the entry's own colour added to
     the ignore set.  kind "split": the value is the sum of the entries left
     and right of border `border`, joined through the crossing edge
@@ -381,25 +433,6 @@ def _section_masks(board, index, bits):
     """Plane bits of the colours present in each section (per board)."""
     return np.bitwise_or.reduce(np.where(index.cells, bits[np.array(board.cells)], 0),
                                 axis=(1, 2))
-
-
-def _zero_slots(board, index):
-    """(slot, seed colour, section mask) for every slot whose section holds a
-    dominating monochromatic r1-r2 path."""
-    out = []
-    cells = board.cells
-    for k, (sid, r1, r2) in enumerate(index.slots):
-        d0 = cells[r1[0]][r1[1]]
-        if cells[r2[0]][r2[1]] != d0:
-            continue
-        t1, bb1, t2, bb2 = index.geoms[sid]
-
-        def on_ok(row, col, _d=d0):
-            return cells[row][col] == _d
-
-        if pathsweep.path_exists((t1, t2), (bb1, bb2), r1, r2, on_ok):
-            out.append((k, d0))
-    return out
 
 
 class DPTable:
@@ -578,9 +611,18 @@ def _dense_seeds(board, index, masks, bits, dtype, inf):
     planes = 1 << np.count_nonzero(bits)
     all_masks = np.arange(planes, dtype=np.int64)
     t_init = np.full((len(index.slots), len(bits), planes), inf, dtype=dtype)
-    for slot, d0 in _zero_slots(board, index):
-        base = int(masks[index.slot_sid[slot]]) & ~int(bits[d0])
-        t_init[slot, d0, (all_masks & base) == base] = 0
+    # A listed path seeds its slot with colour d if every cell has colour d.
+    # A slot may have several such paths, all with its r1 cell's colour.
+    colours = np.ravel(board.cells)[index.seed_cells]
+    mono = (colours == colours[:, :1]).all(axis=1)
+    seed_d = np.full(len(index.slots), -1, dtype=np.int64)
+    seed_d[index.seed_slot[mono]] = colours[mono, 0]
+    slots = np.flatnonzero(seed_d >= 0)
+    d = seed_d[slots]
+    # Seed every plane that holds the section's colours other than d.
+    base = masks[index.slot_sid[slots]] & ~bits[d]
+    hit, plane = np.nonzero((all_masks[None, :] & base[:, None]) == base[:, None])
+    t_init[slots[hit], d[hit], plane] = 0
     imap = all_masks[None, :] | bits[:, None]
     return t_init, imap
 
@@ -672,6 +714,7 @@ def _solve_buckets(board, index, masks, bits, deadline):
     inf = _BUCKET_INF
     seeds, imap = _dense_seeds(board, index, masks, bits, np.int16, inf)
     best = np.ascontiguousarray(seeds.transpose(1, 2, 0))
+    del seeds
     val = np.full_like(best, inf)
     flat_best = best.reshape(-1, best.shape[2])
     flat_val = val.reshape(flat_best.shape)
@@ -723,9 +766,15 @@ def _solve_buckets(board, index, masks, bits, deadline):
         else:
             offer_splits(touching(None, in_bucket, has_settled))
         np.minimum(best, val.min(axis=0)[imap] + 1, out=best)
+    del best, flat_best
     relaxations = int(np.count_nonzero((val > 0) & (val < inf)))
-    table = np.where(val < inf, val.astype(np.int32), INF)
-    return np.ascontiguousarray(table.transpose(2, 0, 1)), relaxations
+    # Write the int32 result once, a colour at a time, so that only val and
+    # the result are alive.
+    c, planes, slots = val.shape
+    table = np.empty((slots, c, planes), dtype=np.int32)
+    for d in range(c):
+        table[:, d] = np.where(val[d] < inf, val[d], np.int32(INF)).T
+    return table, relaxations
 
 
 def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference",
@@ -733,8 +782,6 @@ def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference"
     """Minimum move count to flood the board (optionally with a fixed final
     colour).  Returns (value, DPTable)."""
     c = len(board.palette)
-    if c > DP_COLOUR_CAP:
-        raise CapacityError(f"palette size {c} exceeds the cap of {DP_COLOUR_CAP}")
     if target is not None and not 0 <= target < c:
         raise InputError(f"target colour {target} outside the palette")
     if mode not in ("reference", "worklist"):

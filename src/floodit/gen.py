@@ -28,6 +28,24 @@ def random_board(rng: random.Random, n: int, colours: int) -> Board2xN:
     return Board2xN(n, cells, colour_tokens(colours))
 
 
+def colourings_up_to_renaming(length: int, colours: int):
+    """Colourings of `length` cells with at most `colours` colours, one per
+    class up to renaming colours: colour ids appear in first-use order.
+    Lazy, in lexicographic order."""
+    prefix = []
+
+    def extend(used):
+        if len(prefix) == length:
+            yield tuple(prefix)
+            return
+        for v in range(min(used + 1, colours)):
+            prefix.append(v)
+            yield from extend(max(used, v + 1))
+            prefix.pop()
+
+    yield from extend(0)
+
+
 def random_connected_graph(
     rng: random.Random, num_vertices: int, colours: int, extra_edges: Optional[int] = None
 ) -> ColouredGraph:

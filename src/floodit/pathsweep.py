@@ -5,10 +5,14 @@ row), is there a simple path from r1 to r2 such that every cell not on the
 path is adjacent to a path cell?  Optional per-cell predicates restrict which
 cells may lie on the path (`on_ok`) and which may be left off it (`off_ok`).
 
-This single test backs two things: existence of a spanning tree whose
-non-leaf vertices all lie on the r1-r2 path (predicates absent), and the
-zero-cost seed test of the 2xN dynamic program (path cells must have the
-target colour, off cells a permitted one).
+The sweep decides whether the 2xN dynamic program's section index gets a
+slot: a spanning tree whose non-leaf vertices all lie on the r1-r2 path
+exists (predicates absent).  The predicates serve only dp2xn.zero_test, the
+definition of a zero entry (path cells must have the target colour, off
+cells a permitted one); solves do not call the sweep.  dominating_paths
+lists the paths themselves: the index takes the zero-seed paths of its
+small sections from it, and path_exists_bruteforce, the sweep's reference
+in the tests, tests the predicates on each of them.
 
 The sweep runs a small automaton over columns.  State per column boundary:
 
@@ -218,17 +222,18 @@ def path_exists(top, bottom, r1, r2, on_ok=None, off_ok=None) -> bool:
     return False
 
 
-def path_exists_bruteforce(top, bottom, r1, r2, on_ok=None, off_ok=None) -> bool:
-    """Reference implementation: enumerate all simple r1-r2 paths.
+def dominating_paths(top, bottom, r1, r2):
+    """Every simple r1-r2 path of the section with every other section cell
+    adjacent to it, as a tuple of cells from r1 to r2.
 
-    Exponential; for tests on small sections only.
+    Exponential; for small sections only.
     """
     t1, t2 = top
     bb1, bb2 = bottom
     cells = [(0, j) for j in range(t1, t2)] + [(1, j) for j in range(bb1, bb2)]
     present = set(cells)
     if r1 not in present or r2 not in present:
-        return False
+        return
 
     def neighbours(cell):
         row, col = cell
@@ -236,42 +241,36 @@ def path_exists_bruteforce(top, bottom, r1, r2, on_ok=None, off_ok=None) -> bool
             if cand in present:
                 yield cand
 
-    def dominated(path_set):
-        for cell in cells:
-            if cell in path_set:
-                continue
-            if off_ok is not None and not off_ok(*cell):
-                return False
-            if not any(nb in path_set for nb in neighbours(cell)):
-                return False
-        return True
-
-    if on_ok is not None and not (on_ok(*r1) and on_ok(*r2)):
-        return False
-
-    found = False
     path = [r1]
-    on_path = {r1}
 
-    def dfs(cell):
-        nonlocal found
-        if found:
-            return
+    def extend(cell):
         if cell == r2:
-            if dominated(on_path):
-                found = True
-            if r1 != r2:
-                return  # extending past r2 would give it degree 2
+            # Extending past r2 would give it degree 2.
+            on_path = set(path)
+            if all(c in on_path or any(nb in on_path for nb in neighbours(c)) for c in cells):
+                yield tuple(path)
+            return
         for nb in neighbours(cell):
-            if nb in on_path:
-                continue
-            if on_ok is not None and not on_ok(*nb):
-                continue
-            on_path.add(nb)
-            path.append(nb)
-            dfs(nb)
-            path.pop()
-            on_path.discard(nb)
+            if nb not in path:
+                path.append(nb)
+                yield from extend(nb)
+                path.pop()
 
-    dfs(r1)
-    return found
+    yield from extend(r1)
+
+
+def path_exists_bruteforce(top, bottom, r1, r2, on_ok=None, off_ok=None) -> bool:
+    """Reference implementation: enumerate all dominating simple r1-r2 paths
+    and test the predicates on each.
+
+    Exponential; for tests on small sections only.
+    """
+    t1, t2 = top
+    bb1, bb2 = bottom
+    cells = [(0, j) for j in range(t1, t2)] + [(1, j) for j in range(bb1, bb2)]
+    for path in dominating_paths(top, bottom, r1, r2):
+        on_path = set(path)
+        if ((on_ok is None or all(on_ok(*c) for c in path))
+                and (off_ok is None or all(off_ok(*c) for c in cells if c not in on_path))):
+            return True
+    return False

@@ -125,6 +125,12 @@ def test_verify_exhaustive_over_budget_exits_3(capsys):
     assert main(["verify", "--exhaustive", "5", "5"]) == 3
 
 
+def test_verify_exhaustive_counts_boards_up_to_renaming(capsys):
+    # 2x2 boards with at most 4 colours: 15 up to renaming (Bell number B4).
+    assert main(["verify", "--exhaustive", "2", "4"]) == 0
+    assert "PASS exhaustive 2 4: 15 boards up to renaming" in capsys.readouterr().out
+
+
 def test_bench_single_row(capsys):
     assert main(["bench", "--n-range", "3..3", "--colours", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -141,8 +147,10 @@ def test_bench_range_and_usage(capsys):
     assert main(["bench", "--n-range", "x", "--colours", "2"]) == 1
 
 
-def test_bench_palette_over_cap_exits_3(capsys):
-    assert main(["bench", "--n-range", "2..2", "--colours", "40"]) == 3
+def test_bench_large_palette_is_valid_input(capsys):
+    # Only the table-entry cap limits a solve, not the palette size.
+    assert main(["bench", "--n-range", "2..2", "--colours", "40", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["n"] == 2
 
 
 def test_bench_key_space_over_cap_reports_capacity(capsys):

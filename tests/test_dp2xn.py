@@ -20,11 +20,10 @@ from floodit.board import (
 )
 from floodit.engine import replay
 from floodit.errors import BudgetExceededError, CapacityError, InputError
-from floodit.gen import colour_tokens, random_board
+from floodit.gen import colour_tokens, colourings_up_to_renaming, random_board
 from floodit.oracle import min_moves, spanning_trees
 from floodit import dp2xn
 from floodit.dp2xn import (
-    DP_COLOUR_CAP,
     ZKey,
     reconstruct,
     solve,
@@ -124,6 +123,55 @@ def test_zero_requires_path_colour():
     assert not zero_test(b, ZKey(Border(0, 0), Border(2, 2), 0, 1, 0, 3))
 
 
+def zero_test_table(table):
+    """zero_test over every (slot, colour, canonical ignore set) of a solved
+    table, as a boolean array shaped like its store.  The test needs a
+    d-coloured path from r1 to r2, so it is run only where both end cells
+    have colour d; everywhere else it is False."""
+    index, board = table._index, table.board
+    present = np.flatnonzero(table._bits).tolist()  # palette colour per plane bit
+    canon = table._canonical()
+    want = np.zeros(table._dense.shape, dtype=bool)
+    for slot, (sid, r1, r2) in enumerate(index.slots):
+        d = board.cells[r1[0]][r1[1]]
+        if board.cells[r2[0]][r2[1]] != d:
+            continue
+        t1, bb1, t2, bb2 = index.geoms[sid]
+        head = (Border(t1, bb1), Border(t2, bb2), board.vertex(*r1), board.vertex(*r2))
+        for plane in np.flatnonzero(canon[slot]).tolist():
+            ignore = sum(1 << col for j, col in enumerate(present) if plane >> j & 1)
+            want[slot, d, plane] = zero_test(board, ZKey(*head, d, ignore))
+    return want, canon[:, None, :]
+
+
+def test_seeded_zeros_match_zero_test():
+    # Seeds come only from small sections (dp2xn._SEED_CELLS); every other
+    # zero must come from the split rule.  Both modes, every canonical key,
+    # including keys that read +inf.
+    boards = [Board2xN(3, (cells[:3], cells[3:]), colour_tokens(3))
+              for cells in itertools.product(range(3), repeat=6) if cells[0] == 0]
+    rng = random.Random(61)
+    boards += [random_board(rng, rng.randint(4, 6), rng.randint(2, 4)) for _ in range(20)]
+    for board in boards:
+        tables = [solve(board, mode=mode)[1] for mode in ("reference", "worklist")]
+        want, canon = zero_test_table(tables[0])
+        for table in tables:
+            assert np.array_equal((table._dense == 0) & canon, want), (board.cells, table.mode)
+
+
+def test_solve_does_not_search_paths_once_the_index_is_built(monkeypatch):
+    board = random_board(random.Random(62), 7, 3)
+    dp2xn._get_index(board.n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("path search during a solve")
+
+    monkeypatch.setattr(dp2xn.pathsweep, "path_exists", refuse)
+    monkeypatch.setattr(dp2xn.pathsweep, "dominating_paths", refuse)
+    for mode in ("reference", "worklist"):
+        solve(board, mode=mode)
+
+
 def test_zero_matches_stored_zeros():
     rng = random.Random(20)
     for _ in range(10):
@@ -148,7 +196,8 @@ def test_solve_rejects_bad_inputs():
         solve(b, target=7)
     with pytest.raises(InputError):
         solve(b, mode="nope")
-    big = Board2xN(2, ((0, 1), (2, 3)), colour_tokens(DP_COLOUR_CAP + 1))
+    # The palette alone is no limit; the table-entry cap is.
+    big = Board2xN(10, (tuple(range(10)), tuple(range(10, 20))), colour_tokens(20))
     with pytest.raises(CapacityError):
         solve(big)
 
@@ -165,19 +214,10 @@ def test_solve_equals_oracle_random_boards():
             assert vt == min_moves(to_graph(board), target=d).value
 
 
-def restricted_growth_strings(length, max_colours):
-    """Colourings of `length` cells with at most `max_colours` colours, one
-    per class up to renaming colours: colour ids appear in first-use order."""
-    out = [(0,)]
-    for _ in range(length - 1):
-        out = [s + (v,) for s in out for v in range(min(max(s) + 2, max_colours))]
-    return out
-
-
 def test_low_skew_index_exact_on_all_2x4_boards():
     # The section index keeps only borders with |t - b| <= 1; exactness of
     # that restriction is checked here against breadth-first search.
-    colourings = restricted_growth_strings(8, 4)
+    colourings = list(colourings_up_to_renaming(8, 4))
     assert len(colourings) == 2795
     for cells in colourings:
         c = max(cells) + 1
