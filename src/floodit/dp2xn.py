@@ -97,12 +97,13 @@ checked entry by entry against zero_test in tests/test_dp2xn.py.
 
 Two modes compute the same least fixed point.  "reference" makes one pass in
 structural order.  A split points from a section to two sections with fewer
-cells, and the recolour rule from ignore set I to I + {d}.  So the pass walks
-layers of equal cell count upwards, applies the split rule from the final
-earlier layers, then walks the ignore sets by decreasing popcount and closes
-the one same-plane case, d in I, with a single step.  "worklist" is Dial's
-bucketed label-setting pass over the same table, which settles entries in
-value order, an independent cross-check.
+cells, and the recolour rule from ignore set I to I + {d}.  Slots are
+numbered by cell count, so the pass walks slot ranges of equal cell count
+upwards, applies the split rule from the final earlier ones, then walks the
+ignore sets by decreasing popcount and closes the one same-plane case, d in
+I, with a single step.  "worklist" is Dial's bucketed label-setting pass
+over the same table, which settles entries in value order, an independent
+cross-check.
 
 One table store serves every palette.  Its ignore-set planes have one bit
 per colour that occurs on the board: present colours take bits 0..k-1 in
@@ -147,9 +148,13 @@ _SEED_CELLS = 4
 # result.  Measured at 48.4M entries (2x10, 11 of 16 colours on the board):
 # 681 MB and 597 MB peak RSS.  So the cap keeps a solve under about 1 GB.
 _TABLE_ENTRY_CAP = 50_000_000
+# Split records a section index may hold.  The index keeps 8 B per record
+# (two int32 child slots), so the cap keeps it under the same 1 GB.  The
+# 2x60 index holds 9.26M records.
+_RECORD_CAP = 125_000_000
 _BUCKET_INF = (1 << 14) - 1
-# Entries one chunk of split sums may gather: 32 MB of int16.
-_CHUNK_ENTRIES = 1 << 24
+# Entries one chunk of split sums may gather: 16 MB of int16.
+_CHUNK_ENTRIES = 1 << 23
 
 
 def _check_deadline(deadline):
@@ -168,6 +173,11 @@ class _SectionIndex:
     (a, b) of its two attachments: slot_of[sid, a, b], -1 where no slot
     exists (the extra last row of slot_of is all -1, so sid -1 looks up
     "none").
+
+    Slots are numbered in structural order, by their section's cell count
+    (layer l is slots layer_bounds[l]:layer_bounds[l + 1]).  Split records
+    are stored by parent: slot s has records rec_start[s]:rec_start[s + 1],
+    whose children rec_left and rec_right lie in earlier layers.
     """
 
     def __init__(self, n: int, deadline=None):
@@ -176,8 +186,6 @@ class _SectionIndex:
         bt = np.array([t for t, _ in borders])
         bb = np.array([b for _, b in borders])
         is_sec = geo.bounds_section(bt[:, None], bb[:, None], bt[None, :], bb[None, :])
-        # Section ids run border-pair major, so records generated per left
-        # border come out grouped by parent slot.
         sec_i, sec_j = np.nonzero(is_sec)
         self.sec_of = np.full((nb, nb), -1, dtype=np.int64)
         self.sec_of[sec_i, sec_j] = np.arange(len(sec_i))
@@ -204,7 +212,12 @@ class _SectionIndex:
         seed_cells, seed_slot = [], []
         # Paths are translation invariant: test or list each shape once.
         shapes = {}
-        for sid, size in enumerate(self.cells.sum(axis=(1, 2)).tolist()):
+        # Slots are numbered in layer order, by their section's cell count.
+        # A split's children have fewer cells than its parent, so slot order
+        # is structural order.
+        sizes = self.cells.sum(axis=(1, 2))
+        by_size = np.argsort(sizes, kind="stable")
+        for sid, size in zip(by_size.tolist(), sizes[by_size].tolist()):
             _check_deadline(deadline)
             t1, bb1, t2, bb2 = self.geoms[sid]
             lcols, rcols = self.ends[sid].tolist()
@@ -230,10 +243,11 @@ class _SectionIndex:
                     self.slots.append((sid, (r1[0], r1[1] + o), (r2[0], r2[1] + o)))
         self.slot_of = slot_of
         self.slot_sid = np.array([s[0] for s in self.slots], dtype=np.int64)
+        steps = np.flatnonzero(np.diff(sizes[self.slot_sid])) + 1
+        self.layer_bounds = np.r_[0, steps, len(self.slots)]
         self.seed_cells = np.array(seed_cells, dtype=np.intp).reshape(-1, _SEED_CELLS)
         self.seed_slot = np.array(seed_slot, dtype=np.intp)
         self._build_records(bt, bb, deadline)
-        self._layers = None
 
     def pair_slot(self, sid, r1, r2):
         """Slot of the end cells r1, r2 of section sid, or None."""
@@ -244,10 +258,11 @@ class _SectionIndex:
         return None if slot < 0 else slot
 
     def _build_records(self, bt, bb, deadline):
-        """Split records, generated per parent left border i over arrays
-        indexed (right border j, parent rows a, b, split border k, edge e),
-        so that they come out ordered by parent slot.  The edges are the
-        top-row, the bottom-row and the run-column edge cut by k."""
+        """Split records by parent slot, each parent's over split border k,
+        then edge e: the top-row, the bottom-row and the run-column edge cut
+        by k.  They are counted first, so that rec_left and rec_right are
+        allocated once at their exact size, then filled per parent left
+        border i."""
         nb, n = len(bt), int(bt[-1])
         # Section (i, j) is the overlap of (i, right board edge) and (left
         # board edge, j), so an edge is cut inside it iff it is cut inside
@@ -265,67 +280,52 @@ class _SectionIndex:
         col_left, after = cuts(bt[None, :], bb[None, :], n, n)  # (k, i, e)
         after = after.transpose(1, 0, 2)  # (i, k, e)
         before = cuts(0, 0, bt[None, :], bb[None, :])[1]  # (k, j, e)
-        # Children's slots per edge: a row-r edge joins the left child's
-        # row-r end cell to the right child's; a column edge runs from row
-        # col_left (per k) to the other row.
+        # Children's slots per edge, -1 where there is none or the edge is
+        # not cut: a row-r edge joins the left child's row-r end cell to the
+        # right child's; a column edge runs from row col_left (per k) to the
+        # other row.
         sub = self.slot_of[self.sec_of]  # (x, y, a, b): section (x, y), rows a, b
         col = np.where(col_left[None] == 1, sub[..., 1], sub[..., 0])
         left = np.concatenate([sub, col[..., None]], axis=3)  # (i, k, a, e)
+        left = np.where(after[:, :, None], left, -1).transpose(0, 2, 1, 3)  # (i, a, k, e)
         col = np.where(col_left[:, :, None] == 1, sub[:, :, 0], sub[:, :, 1])
         right = np.concatenate([sub, col[:, :, None]], axis=2)  # (k, j, e, b)
+        right = np.where(before[..., None], right, -1).transpose(1, 3, 0, 2)  # (j, b, k, e)
+        # A child with a slot lies between the parent's borders, so the
+        # records per parent are a product summed over k and e: one matrix
+        # product, exact in float32.
+        has_parent = sub >= 0
+        counts = np.where(has_parent, np.einsum(
+            "iake,jbke->ijab", (left >= 0).astype(np.float32),
+            (right >= 0).astype(np.float32), optimize=True), 0).astype(np.int64)
+        per_slot = np.zeros(len(self.slots), dtype=np.int64)
+        per_slot[sub[has_parent]] = counts[has_parent]
+        self.rec_start = np.r_[0, np.cumsum(per_slot)]
+        total = int(self.rec_start[-1])
+        if total > _RECORD_CAP:
+            raise CapacityError(
+                f"section index too large: {total:,} split records, cap {_RECORD_CAP:,}; "
+                "use a narrower board")
+        self.rec_left = np.empty(total, dtype=np.int32)
+        self.rec_right = np.empty(total, dtype=np.int32)
         # Both k and j lie beyond i in t + b order.
         starts = np.searchsorted(bt + bb, bt + bb, side="right").tolist()
-        parts = ([], [], [])
         for i, lo in enumerate(starts):
             _check_deadline(deadline)
-            if lo == nb:
-                continue
-            shape = (nb - lo, 2, 2, nb - lo, 3)
-            p = np.broadcast_to(sub[i, lo:, :, :, None, None], shape)
-            l_ = np.broadcast_to(left[i, lo:].transpose(1, 0, 2)[None, :, None, :, :], shape)
-            r = np.broadcast_to(right[lo:, lo:].transpose(1, 3, 0, 2)[:, None, :, :, :], shape)
-            edge = after[i, lo:, None, :] & before[lo:, lo:]  # (k, j, e)
-            ok = (edge.transpose(1, 0, 2)[:, None, None, :, :]
-                  & (p >= 0) & (l_ >= 0) & (r >= 0))
-            for out, arr in zip(parts, (p, l_, r)):
-                out.append(arr[ok])
-        self.rec_parent, self.rec_left, self.rec_right = (
-            np.concatenate(a) if a else np.zeros(0, np.int32) for a in parts)
-        # rec_start[s]:rec_start[s + 1] holds the records of parent slot s.
-        self.rec_start = np.searchsorted(self.rec_parent, np.arange(len(self.slots) + 1))
-
-    def layers(self):
-        """Slots and split records in structural order, for the reference
-        pass: (order, slot_bounds, rec_start, left, right).
-
-        A layer holds the slots whose section has the same cell count; a
-        split's children have fewer cells than its parent, so they sit in
-        earlier layers.  Slots are renumbered to positions in layer order:
-        position p is slot order[p], and layer l holds positions
-        slot_bounds[l]:slot_bounds[l + 1].  The records of position p are
-        rec_start[p]:rec_start[p + 1], and left and right give their
-        children's positions.
-        """
-        if self._layers is None:
-            cells = self.cells.sum(axis=(1, 2))[self.slot_sid]
-            order = np.argsort(cells, kind="stable")
-            pos = np.empty(len(order), dtype=np.int32)
-            pos[order] = np.arange(len(order))
-            slot_bounds = np.r_[0, np.flatnonzero(np.diff(cells[order])) + 1, len(order)]
-            # Records are grouped by parent slot: lay their runs out in
-            # position order.
-            counts = np.diff(self.rec_start)[order]
-            rec_start = np.r_[0, np.cumsum(counts)]
-            recs = (np.repeat(self.rec_start[order] - rec_start[:-1], counts)
-                    + np.arange(len(self.rec_parent)))
-            self._layers = (order, slot_bounds, rec_start,
-                            pos[self.rec_left[recs]], pos[self.rec_right[recs]])
-        return self._layers
+            # Arrays indexed (j, a, b, k, e): the records come out grouped by
+            # parent, each group in (k, e) order, and move to its run.
+            l_, r = np.broadcast_arrays(left[i, None, :, None, lo:], right[lo:, None, :, lo:])
+            ok = (l_ >= 0) & (r >= 0) & has_parent[i, lo:, :, :, None, None]
+            group = counts[i, lo:].ravel()
+            at = np.repeat(self.rec_start[sub[i, lo:].ravel()] - (np.cumsum(group) - group), group)
+            at += np.arange(len(at))
+            self.rec_left[at] = l_[ok]
+            self.rec_right[at] = r[ok]
 
 
-# Indexes by width, least recently used first.  With its layer order an
-# index takes 21 MB at n = 30 and 53 MB at n = 40, so only the last few
-# widths stay.
+# Indexes by width, least recently used first.  An index takes 12 MB at
+# n = 30, 27 MB at n = 40 and 88 MB at n = 60, so only the last few widths
+# stay.
 _INDEX_CACHE: dict = {}
 _INDEX_CACHE_WIDTHS = 4
 
@@ -500,7 +500,8 @@ class DPTable:
     def _rule_of(self, slot, d, mask):
         """Find a relaxation rule achieving the stored value.
 
-        Returns ("zero",), ("recolour", d_from) or ("split", record_index).
+        Returns ("zero",), ("recolour", child) or ("split", left, right),
+        each child the (slot, colour, plane) of the entry the rule reads.
         """
         v = int(self._dense[slot, d, mask])
         if v >= INF:
@@ -513,7 +514,7 @@ class DPTable:
         child_mask = (mask | self._bits[d]) & m
         for dp in range(c):
             if int(self._dense[slot, dp, child_mask]) == v - 1:
-                return ("recolour", dp)
+                return ("recolour", (slot, dp, child_mask))
         for i in range(index.rec_start[slot], index.rec_start[slot + 1]):
             ls = int(index.rec_left[i])
             rs = int(index.rec_right[i])
@@ -523,7 +524,7 @@ class DPTable:
             if lv > v:
                 continue
             if lv + int(self._dense[rs, d, mask & rm]) == v:
-                return ("split", i)
+                return ("split", (ls, d, mask & lm), (rs, d, mask & rm))
         raise FlooditError("no relaxation rule reproduces the stored value")
 
     def _slot_of_key(self, z: ZKey):
@@ -543,11 +544,9 @@ class DPTable:
         if rule[0] == "zero":
             return BackPtr("zero")
         if rule[0] == "recolour":
-            return BackPtr("recolour", d_from=rule[1])
+            return BackPtr("recolour", d_from=rule[1][1])
         index = self._index
-        i = rule[1]
-        ls = int(index.rec_left[i])
-        rs = int(index.rec_right[i])
+        ls, rs = rule[1][0], rule[2][0]
         _t1, _bb1, t, bb = index.geoms[index.slots[ls][0]]
         return BackPtr(
             "split",
@@ -627,6 +626,22 @@ def _dense_seeds(board, index, masks, bits, dtype, inf):
     return t_init, imap
 
 
+def _int32_table(t, inv=None):
+    """The int32 table (slot, colour, ignore set), INF where no rule reaches,
+    and its count of finite nonzero entries, from a pass's int16 array t
+    (colour, plane, slot) whose row inv[q] holds ignore set q.  Converts a
+    colour at a time, so that only t and the result are alive."""
+    c, planes, slots = t.shape
+    table = np.empty((slots, c, planes), dtype=np.int32)
+    relaxations = 0
+    for d in range(c):
+        v = t[d] if inv is None else t[d, inv]
+        finite = v < _BUCKET_INF
+        relaxations += int(np.count_nonzero(finite & (v > 0)))
+        table[:, d] = np.where(finite, v, np.int32(INF)).T
+    return table, relaxations
+
+
 def _solve_dense(board, index, masks, bits, deadline):
     """One relaxation pass in structural order over the ignore-set planes.
 
@@ -643,26 +658,29 @@ def _solve_dense(board, index, masks, bits, deadline):
     rule reaches, the number of layers and the number of entries that end
     finite and nonzero.
     """
-    # The pass works planes-major, (colour, ignore set, slot position), with
-    # slot positions in layer order and planes in decreasing popcount, so
-    # that a layer's popcount run is one strided view and a split chunk
-    # gathers and min-reduces contiguous runs per plane.  Values stay within
-    # the board's cell count, and the sum of two values stays inside int16.
+    # The pass works planes-major, (colour, ignore set, slot), with planes in
+    # decreasing popcount, so that a layer's popcount run is one strided
+    # view and a split chunk gathers and min-reduces contiguous runs per
+    # plane.  Slots are numbered in layer order, so a layer is a slot range
+    # and its split records one run.  Values stay within the board's cell
+    # count, and the sum of two values stays inside int16.
     inf = _BUCKET_INF
     seeds, imap = _dense_seeds(board, index, masks, bits, np.int16, inf)
     c, planes = seeds.shape[1:]
-    order, slot_bounds, rec_start, left, right = index.layers()
     popcount = np.array([bin(q).count("1") for q in range(planes)])
     perm = np.argsort(-popcount, kind="stable")
     inv = np.empty_like(perm)
     inv[perm] = np.arange(planes)
     pmap = inv[imap[:, perm]]
     pc_bounds = np.searchsorted(-popcount[perm], np.arange(-popcount[-1], 2)).tolist()
-    t = np.ascontiguousarray(seeds[order][:, :, perm].transpose(1, 2, 0))
+    t = np.ascontiguousarray(seeds[:, :, perm].transpose(1, 2, 0))
+    del seeds
     flat = t.reshape(c * planes, -1)
+    rec_start, left, right = index.rec_start, index.rec_left, index.rec_right
+    layer_bounds = index.layer_bounds
 
     max_chunk_records = max(1, _CHUNK_ENTRIES // (c * planes))
-    for lo, hi in zip(slot_bounds[:-1].tolist(), slot_bounds[1:].tolist()):
+    for lo, hi in zip(layer_bounds[:-1].tolist(), layer_bounds[1:].tolist()):
         _check_deadline(deadline)
         parents = lo + np.flatnonzero(np.diff(rec_start[lo:hi + 1]))
         if len(parents):
@@ -684,10 +702,8 @@ def _solve_dense(board, index, masks, bits, deadline):
             np.minimum(run, low[pmap[:, a:b]] + 1, out=run)
             low[a:b] = run.min(axis=0)
             np.minimum(run, low[a:b] + 1, out=run)
-    relaxations = int(np.count_nonzero((t > 0) & (t < inf)))
-    table = np.empty((len(order), c, planes), dtype=np.int32)
-    table[order] = np.where(t < inf, t.astype(np.int32), INF)[:, inv].transpose(2, 0, 1)
-    return table, len(slot_bounds) - 1, relaxations
+    table, relaxations = _int32_table(t, inv)
+    return table, len(layer_bounds) - 1, relaxations
 
 
 def _solve_buckets(board, index, masks, bits, deadline):
@@ -718,16 +734,16 @@ def _solve_buckets(board, index, masks, bits, deadline):
     val = np.full_like(best, inf)
     flat_best = best.reshape(-1, best.shape[2])
     flat_val = val.reshape(flat_best.shape)
-    rec_left, rec_right, rec_parent = index.rec_left, index.rec_right, index.rec_parent
+    rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
     chunk_records = max(1, _CHUNK_ENTRIES // len(flat_val))
 
     def offer_splits(recs):
         for lo in range(0, len(recs), chunk_records):
             _check_deadline(deadline)
             chunk = recs[lo:lo + chunk_records]
-            sums = (np.take(flat_val, rec_left[chunk], axis=1)
-                    + np.take(flat_val, rec_right[chunk], axis=1))
-            parents = rec_parent[chunk]
+            sums = np.take(flat_val, rec_left[chunk], axis=1)
+            sums += np.take(flat_val, rec_right[chunk], axis=1)
+            parents = np.searchsorted(rec_start, chunk, side="right") - 1
             starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
             parents = parents[starts]
             flat_best[:, parents] = np.minimum(flat_best[:, parents],
@@ -737,8 +753,8 @@ def _solve_buckets(board, index, masks, bits, deadline):
         """Records of recs (all when None) with one child in new_slots and
         the other in partner_slots."""
         code = new_slots.view(np.uint8) | (partner_slots.view(np.uint8) << 1)
-        left = np.take(code, rec_left if recs is None else rec_left[recs])
-        right = np.take(code, rec_right if recs is None else rec_right[recs])
+        left = code[rec_left if recs is None else rec_left[recs]]
+        right = code[rec_right if recs is None else rec_right[recs]]
         hit = np.flatnonzero(((left & (right >> 1)) | (right & (left >> 1))) & 1)
         return hit if recs is None else recs[hit]
 
@@ -767,14 +783,7 @@ def _solve_buckets(board, index, masks, bits, deadline):
             offer_splits(touching(None, in_bucket, has_settled))
         np.minimum(best, val.min(axis=0)[imap] + 1, out=best)
     del best, flat_best
-    relaxations = int(np.count_nonzero((val > 0) & (val < inf)))
-    # Write the int32 result once, a colour at a time, so that only val and
-    # the result are alive.
-    c, planes, slots = val.shape
-    table = np.empty((slots, c, planes), dtype=np.int32)
-    for d in range(c):
-        table[:, d] = np.where(val[d] < inf, val[d], np.int32(INF)).T
-    return table, relaxations
+    return _int32_table(val)
 
 
 def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference",
@@ -825,24 +834,13 @@ def reconstruct(table: DPTable) -> list:
         raise InputError("table has no solved goal; run solve() first")
     board = table.board
     index = table._index
-    masks = table._masks
 
     def derive(slot, d, mask):
-        rule = table._rule_of(slot, d, mask)
-        if rule[0] == "zero":
-            return []
-        sid = int(index.slot_sid[slot])
-        m = int(masks[sid])
-        if rule[0] == "recolour":
-            moves = derive(slot, rule[1], (mask | table._bits[d]) & m)
+        kind, *children = table._rule_of(slot, d, mask)
+        moves = [m for child in children for m in derive(*child)]
+        if kind == "recolour":
             moves.append(Move(board.vertex(*index.slots[slot][1]), d))
-            return moves
-        i = rule[1]
-        ls = int(index.rec_left[i])
-        rs = int(index.rec_right[i])
-        lm = int(masks[index.slot_sid[ls]])
-        rm = int(masks[index.slot_sid[rs]])
-        return derive(ls, d, mask & lm) + derive(rs, d, mask & rm)
+        return moves
 
     slot, d = table.goal
     moves = derive(slot, d, 0)

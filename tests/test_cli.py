@@ -160,6 +160,17 @@ def test_bench_key_space_over_cap_reports_capacity(capsys):
     assert "time budget" not in err
 
 
+def test_index_over_record_cap_exits_3(tmp_path, capsys, monkeypatch):
+    from floodit import dp2xn
+
+    monkeypatch.setattr(dp2xn, "_RECORD_CAP", 0)
+    monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
+    board = write(tmp_path / "b.txt", "2\na b\nb a\n")
+    assert main(["solve", board, "--method", "dp"]) == 3
+    assert main(["bench", "--n-range", "2..2", "--colours", "2"]) == 3
+    assert "split records" in capsys.readouterr().err
+
+
 def test_usage_error_exit_1(capsys):
     assert main([]) == 1
     assert main(["solve"]) == 1

@@ -259,9 +259,42 @@ def test_index_geometry_matches_board_functions(n):
         got_slots.append((Border(t1, bb1), Border(t2, bb2), board.vertex(*r1), board.vertex(*r2)))
     assert sorted(index.by_geom) == sorted((*b1, *b2) for b1, b2 in sections)
     assert sorted(got_slots) == sorted(slots)
-    assert len(index.rec_parent) == len(records)
+    parents = np.repeat(np.arange(len(index.slots)), np.diff(index.rec_start))
+    assert len(parents) == len(records)
     assert {(got_slots[p], got_slots[l], got_slots[r]) for p, l, r in zip(
-        index.rec_parent.tolist(), index.rec_left.tolist(), index.rec_right.tolist())} == records
+        parents.tolist(), index.rec_left.tolist(), index.rec_right.tolist())} == records
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_slots_are_numbered_in_layer_order(n):
+    # Slot order is structural order: layers of equal section cell count
+    # upwards, each parent's split records one run, children in earlier
+    # layers.
+    index = dp2xn._SectionIndex(n)
+    sizes = index.cells.sum(axis=(1, 2))[index.slot_sid]
+    assert (np.diff(sizes) >= 0).all()
+    bounds = index.layer_bounds
+    assert bounds[0] == 0 and bounds[-1] == len(index.slots)
+    assert (sizes[bounds[:-1]] == sizes[bounds[1:] - 1]).all()
+    assert (sizes[bounds[1:-1]] > sizes[bounds[1:-1] - 1]).all()
+    assert index.rec_start[0] == 0 and (np.diff(index.rec_start) >= 0).all()
+    assert index.rec_start[-1] == len(index.rec_left) == len(index.rec_right)
+    parents = np.repeat(np.arange(len(index.slots)), np.diff(index.rec_start))
+    assert (sizes[index.rec_left] < sizes[parents]).all()
+    assert (sizes[index.rec_right] < sizes[parents]).all()
+
+
+def test_index_over_record_cap_is_refused_and_not_cached(monkeypatch):
+    records = len(dp2xn._SectionIndex(8).rec_left)
+    monkeypatch.setattr(dp2xn, "_RECORD_CAP", records - 1)
+    monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
+    board = random_board(random.Random(63), 8, 3)
+    solve(board_of("ab", "ba"))
+    cached = dict(dp2xn._INDEX_CACHE)
+    for mode in ("reference", "worklist"):
+        with pytest.raises(CapacityError, match="split records"):
+            solve(board, mode=mode)
+        assert dp2xn._INDEX_CACHE == cached
 
 
 def test_index_cache_keeps_the_most_recent_widths(monkeypatch):
