@@ -114,6 +114,11 @@ name ignore sets as palette bitmasks canonicalised to the colours present in
 the section (ZKey.ignore).  Inside, a plane is any subset of the board's
 colours; masks that agree on a section's colours provably hold equal values
 there.
+
+The table is the int16 array both passes relax, planes-major (colour,
+ignore set, slot); INF = 2^14 - 1 marks an entry no rule reaches, which
+value_of reads as +inf.  DPTable keeps that array and looks keys up through
+a (slot, colour, ignore set) view of it.
 """
 
 from __future__ import annotations
@@ -135,24 +140,26 @@ from .errors import (
     ReconstructionError,
 )
 
-INF = 10**9
+# Values stay within the board's cell count, and a split sum of two INF
+# entries still fits in int16.
+INF = (1 << 14) - 1
 # Zero seeds come only from sections of at most this many cells; the split
 # rule (0 + 0 = 0) builds every larger zero (lemma "seeds compose").  This is
 # the threshold, not a margin: with 3 some tables change (board values hold),
 # with 1 board values change.
 _SEED_CELLS = 4
 # Table entries (slots x palette x 2^colours on the board) a solve may
-# allocate.  The table ends in int32, 4 B per entry, but a solve peaks at
-# about 14 B per entry in reference mode and 12 B in worklist mode: int16
-# working planes, the pass's temporaries of the same shape, and the int32
-# result.  Measured at 48.4M entries (2x10, 11 of 16 colours on the board):
-# 681 MB and 597 MB peak RSS.  So the cap keeps a solve under about 1 GB.
+# allocate.  The table is int16, 2 B per entry, but a solve peaks at about
+# 5.4 B per entry in reference mode (the table, its plane-permuted copy and
+# the pass's temporaries) and 11.6 B in worklist mode (two int16 arrays and
+# full-table temporaries per bucket).  Measured at 48.4M entries (2x10, 11
+# of 16 colours on the board): 263 MB and 559 MB peak RSS.  So the cap keeps
+# a solve under about 600 MB.
 _TABLE_ENTRY_CAP = 50_000_000
 # Split records a section index may hold.  The index keeps 8 B per record
-# (two int32 child slots), so the cap keeps it under the same 1 GB.  The
+# (two int32 child slots), so the cap keeps it under 1 GB.  The
 # 2x60 index holds 9.26M records.
 _RECORD_CAP = 125_000_000
-_BUCKET_INF = (1 << 14) - 1
 # Entries one chunk of split sums may gather: 16 MB of int16.
 _CHUNK_ENTRIES = 1 << 23
 
@@ -174,10 +181,12 @@ class _SectionIndex:
     exists (the extra last row of slot_of is all -1, so sid -1 looks up
     "none").
 
-    Slots are numbered in structural order, by their section's cell count
-    (layer l is slots layer_bounds[l]:layer_bounds[l + 1]).  Split records
-    are stored by parent: slot s has records rec_start[s]:rec_start[s + 1],
-    whose children rec_left and rec_right lie in earlier layers.
+    Slot s lies in section slot_sid[s], and slot_ends[s] holds its two end
+    cells as vertex ids row * n + col.  Slots are numbered in structural
+    order, by their section's cell count (layer l is slots
+    layer_bounds[l]:layer_bounds[l + 1]).  Split records are stored by
+    parent: slot s has records rec_start[s]:rec_start[s + 1], whose children
+    rec_left and rec_right lie in earlier layers.
     """
 
     def __init__(self, n: int, deadline=None):
@@ -203,7 +212,7 @@ class _SectionIndex:
         self.cells = geo.in_section(bt3[sec_i], bb3[sec_i], bt3[sec_j], bb3[sec_j], rows, cols)
         self.ends = (np.stack([after[sec_i], before[sec_j]], axis=1)
                      & self.cells[:, None]).dot(np.arange(1, n + 1)) - 1
-        self.slots = []  # (sid, r1cell, r2cell)
+        slot_sid, slot_ends = [], []  # end cells as vertex ids row * n + col
         slot_of = np.full((len(self.geoms) + 1, 2, 2), -1, dtype=np.int32)
         # Zero-seed candidates: every dominating simple r1-r2 path of each
         # slot whose section has at most _SEED_CELLS cells.  seed_cells[p]
@@ -234,17 +243,19 @@ class _SectionIndex:
                                                if small else pathsweep.path_exists(*shape))
                     if not found:
                         continue
-                    slot_of[sid, r1[0], r2[0]] = len(self.slots)
+                    slot_of[sid, r1[0], r2[0]] = len(slot_sid)
                     if small:
                         for path in found:
                             flat = [row * n + col + o for row, col in path]
                             seed_cells.append(flat + flat[:1] * (_SEED_CELLS - len(flat)))
-                            seed_slot.append(len(self.slots))
-                    self.slots.append((sid, (r1[0], r1[1] + o), (r2[0], r2[1] + o)))
+                            seed_slot.append(len(slot_sid))
+                    slot_sid.append(sid)
+                    slot_ends.append((r1[0] * n + r1[1] + o, r2[0] * n + r2[1] + o))
         self.slot_of = slot_of
-        self.slot_sid = np.array([s[0] for s in self.slots], dtype=np.int64)
+        self.slot_sid = np.array(slot_sid, dtype=np.int64)
+        self.slot_ends = np.array(slot_ends, dtype=np.int32).reshape(-1, 2)
         steps = np.flatnonzero(np.diff(sizes[self.slot_sid])) + 1
-        self.layer_bounds = np.r_[0, steps, len(self.slots)]
+        self.layer_bounds = np.r_[0, steps, len(slot_sid)]
         self.seed_cells = np.array(seed_cells, dtype=np.intp).reshape(-1, _SEED_CELLS)
         self.seed_slot = np.array(seed_slot, dtype=np.intp)
         self._build_records(bt, bb, deadline)
@@ -298,7 +309,7 @@ class _SectionIndex:
         counts = np.where(has_parent, np.einsum(
             "iake,jbke->ijab", (left >= 0).astype(np.float32),
             (right >= 0).astype(np.float32), optimize=True), 0).astype(np.int64)
-        per_slot = np.zeros(len(self.slots), dtype=np.int64)
+        per_slot = np.zeros(len(self.slot_sid), dtype=np.int64)
         per_slot[sub[has_parent]] = counts[has_parent]
         self.rec_start = np.r_[0, np.cumsum(per_slot)]
         total = int(self.rec_start[-1])
@@ -352,12 +363,12 @@ class ZKey:
 
 @dataclass
 class TableStats:
-    """Counts for a solved table.
+    """Counts for a solved table, taken from the table a colour at a time.
 
-    keys, zeros and max_value describe the finite entries with canonical
+    keys, zeros and max_value describe the entries below INF with canonical
     ignore masks.  sweeps is the number of layers (section cell counts) the
     reference pass walked, 0 in worklist mode.  relaxations counts the
-    entries that end finite and nonzero, which in worklist mode are the
+    entries that end below INF and nonzero, which in worklist mode are the
     entries settled at a nonzero value, so both modes give the same count.
     It is taken over every ignore-set plane of the colours on the board, not
     only the canonical ones.
@@ -438,17 +449,18 @@ def _section_masks(board, index, bits):
 class DPTable:
     """Solved table: values over the key space plus solve metadata."""
 
-    def __init__(self, board, index, mode, masks, bits, target, dense,
-                 sweeps=0, relaxations=0):
+    def __init__(self, board, index, mode, masks, bits, target, values, sweeps=0):
         self.board = board
         self.mode = mode
         self.target = target
         self._index = index
         self._masks = masks
         self._bits = bits.tolist()  # plane bit per palette colour
-        self._dense = dense
+        # The pass's own int16 array, (colour, ignore set, slot); _dense is
+        # the same values viewed as (slot, colour, ignore set).
+        self._values = values
+        self._dense = values.transpose(2, 0, 1)
         self._sweeps = sweeps
-        self._relaxations = relaxations
         self._entries = None
         self.value = None
         self.goal = None  # (slot, d) achieving the value
@@ -470,10 +482,11 @@ class DPTable:
 
     def _canonical(self):
         """canon[slot, plane]: the plane holds only colours of the slot's
-        section."""
-        planes = np.arange(self._dense.shape[2])
-        slot_masks = self._masks[self._index.slot_sid]
-        return (planes[None, :] & ~slot_masks[:, None]) == 0
+        section.  A transposed view, laid out like the table."""
+        # int32 holds every plane: the entry cap keeps 2^colours <= 2^25.
+        planes = np.arange(self._values.shape[1], dtype=np.int32)
+        slot_masks = self._masks[self._index.slot_sid].astype(np.int32)
+        return ((planes[:, None] & ~slot_masks[None, :]) == 0).T
 
     def entries(self) -> dict:
         """All finite keys with canonical ignore masks."""
@@ -485,11 +498,10 @@ class DPTable:
             ignore = np.zeros_like(planes)
             for j, col in enumerate(np.flatnonzero(self._bits).tolist()):
                 ignore |= ((planes >> j) & 1) << col
-            index, vertex = self._index, self.board.vertex
-            heads = []  # borders and attachment vertices per slot
-            for sid, r1, r2 in index.slots:
-                t1, bb1, t2, bb2 = index.geoms[sid]
-                heads.append((Border(t1, bb1), Border(t2, bb2), vertex(*r1), vertex(*r2)))
+            index = self._index
+            borders = [(Border(t1, bb1), Border(t2, bb2)) for t1, bb1, t2, bb2 in index.geoms]
+            heads = [(*borders[sid], r1, r2)  # borders and attachment vertices per slot
+                     for sid, (r1, r2) in zip(index.slot_sid.tolist(), index.slot_ends.tolist())]
             self._entries = {
                 ZKey(*heads[slot], d, m): v
                 for slot, d, m, v in zip(slots.tolist(), ds.tolist(),
@@ -547,12 +559,12 @@ class DPTable:
             return BackPtr("recolour", d_from=rule[1][1])
         index = self._index
         ls, rs = rule[1][0], rule[2][0]
-        _t1, _bb1, t, bb = index.geoms[index.slots[ls][0]]
+        _t1, _bb1, t, bb = index.geoms[index.slot_sid[ls]]
         return BackPtr(
             "split",
             border=Border(t, bb),
-            x1=self.board.vertex(*index.slots[ls][2]),
-            x2=self.board.vertex(*index.slots[rs][1]),
+            x1=int(index.slot_ends[ls, 1]),
+            x2=int(index.slot_ends[rs, 0]),
         )
 
     def board_value(self, target: Optional[int] = None):
@@ -581,15 +593,18 @@ class DPTable:
         return int(v) + between
 
     def stats(self) -> TableStats:
-        values = self._dense.transpose(1, 0, 2)[:, self._canonical()]
-        values = values[values < INF]
-        return TableStats(
-            keys=len(values),
-            zeros=int(np.count_nonzero(values == 0)),
-            max_value=int(values.max()) if len(values) else 0,
-            sweeps=self._sweeps,
-            relaxations=self._relaxations,
-        )
+        canon = self._canonical().T  # (ignore set, slot), like one colour's values
+        keys = zeros = max_value = relaxations = 0
+        for v in self._values:
+            finite = v < INF
+            zero = v == 0
+            relaxations += np.count_nonzero(finite) - np.count_nonzero(zero)
+            finite &= canon
+            keys += np.count_nonzero(finite)
+            zeros += np.count_nonzero(zero & canon)
+            max_value = max(max_value, int(v.max(where=finite, initial=0)))
+        return TableStats(keys=int(keys), zeros=int(zeros), max_value=max_value,
+                          sweeps=self._sweeps, relaxations=int(relaxations))
 
 
 def table_stats(table: DPTable) -> TableStats:
@@ -604,42 +619,26 @@ def _goal_slots(board, index):
     return [slot for slot in index.slot_of[sid].ravel().tolist() if slot >= 0]
 
 
-def _dense_seeds(board, index, masks, bits, dtype, inf):
-    """Zero seeds over the ignore-set planes, shape (slot, colour, ignore
-    set), and the recolour map imap[d, I] = I + {d}."""
+def _dense_seeds(board, index, masks, bits):
+    """Zero seeds over the ignore-set planes, shape (colour, ignore set,
+    slot) with INF elsewhere, and the recolour map imap[d, I] = I + {d}."""
     planes = 1 << np.count_nonzero(bits)
     all_masks = np.arange(planes, dtype=np.int64)
-    t_init = np.full((len(index.slots), len(bits), planes), inf, dtype=dtype)
+    t_init = np.full((len(bits), planes, len(index.slot_sid)), INF, dtype=np.int16)
     # A listed path seeds its slot with colour d if every cell has colour d.
     # A slot may have several such paths, all with its r1 cell's colour.
     colours = np.ravel(board.cells)[index.seed_cells]
     mono = (colours == colours[:, :1]).all(axis=1)
-    seed_d = np.full(len(index.slots), -1, dtype=np.int64)
+    seed_d = np.full(len(index.slot_sid), -1, dtype=np.int64)
     seed_d[index.seed_slot[mono]] = colours[mono, 0]
     slots = np.flatnonzero(seed_d >= 0)
     d = seed_d[slots]
     # Seed every plane that holds the section's colours other than d.
     base = masks[index.slot_sid[slots]] & ~bits[d]
     hit, plane = np.nonzero((all_masks[None, :] & base[:, None]) == base[:, None])
-    t_init[slots[hit], d[hit], plane] = 0
+    t_init[d[hit], plane, slots[hit]] = 0
     imap = all_masks[None, :] | bits[:, None]
     return t_init, imap
-
-
-def _int32_table(t, inv=None):
-    """The int32 table (slot, colour, ignore set), INF where no rule reaches,
-    and its count of finite nonzero entries, from a pass's int16 array t
-    (colour, plane, slot) whose row inv[q] holds ignore set q.  Converts a
-    colour at a time, so that only t and the result are alive."""
-    c, planes, slots = t.shape
-    table = np.empty((slots, c, planes), dtype=np.int32)
-    relaxations = 0
-    for d in range(c):
-        v = t[d] if inv is None else t[d, inv]
-        finite = v < _BUCKET_INF
-        relaxations += int(np.count_nonzero(finite & (v > 0)))
-        table[:, d] = np.where(finite, v, np.int32(INF)).T
-    return table, relaxations
 
 
 def _solve_dense(board, index, masks, bits, deadline):
@@ -654,27 +653,25 @@ def _solve_dense(board, index, masks, bits, deadline):
     values only drop as the ignore set grows, so the bound from I + {d}
     applied just before is at least as good.
 
-    Returns the table, shape (slot, colour, ignore set) with INF where no
-    rule reaches, the number of layers and the number of entries that end
-    finite and nonzero.
+    Returns the table, shape (colour, ignore set, slot) with INF where no
+    rule reaches, and the number of layers.
     """
     # The pass works planes-major, (colour, ignore set, slot), with planes in
     # decreasing popcount, so that a layer's popcount run is one strided
     # view and a split chunk gathers and min-reduces contiguous runs per
     # plane.  Slots are numbered in layer order, so a layer is a slot range
-    # and its split records one run.  Values stay within the board's cell
-    # count, and the sum of two values stays inside int16.
-    inf = _BUCKET_INF
-    seeds, imap = _dense_seeds(board, index, masks, bits, np.int16, inf)
-    c, planes = seeds.shape[1:]
+    # and its split records one run.
+    t, imap = _dense_seeds(board, index, masks, bits)
+    c, planes = t.shape[:2]
     popcount = np.array([bin(q).count("1") for q in range(planes)])
     perm = np.argsort(-popcount, kind="stable")
     inv = np.empty_like(perm)
     inv[perm] = np.arange(planes)
     pmap = inv[imap[:, perm]]
     pc_bounds = np.searchsorted(-popcount[perm], np.arange(-popcount[-1], 2)).tolist()
-    t = np.ascontiguousarray(seeds[:, :, perm].transpose(1, 2, 0))
-    del seeds
+    # take, not t[:, perm]: that result is not C-contiguous, and flat would
+    # silently become a copy.
+    t = t.take(perm, axis=1)
     flat = t.reshape(c * planes, -1)
     rec_start, left, right = index.rec_start, index.rec_left, index.rec_right
     layer_bounds = index.layer_bounds
@@ -696,14 +693,13 @@ def _solve_dense(board, index, masks, bits, deadline):
                 group = parents[ga:gb]
                 flat[:, group] = np.minimum(
                     flat[:, group], np.minimum.reduceat(sums, starts[ga:gb] - rlo, axis=1))
-        low = np.full((planes, hi - lo), inf, dtype=t.dtype)  # min over colours
+        low = np.full((planes, hi - lo), INF, dtype=t.dtype)  # min over colours
         for a, b in zip(pc_bounds[:-1], pc_bounds[1:]):
             run = t[:, a:b, lo:hi]
             np.minimum(run, low[pmap[:, a:b]] + 1, out=run)
             low[a:b] = run.min(axis=0)
             np.minimum(run, low[a:b] + 1, out=run)
-    table, relaxations = _int32_table(t, inv)
-    return table, len(layer_bounds) - 1, relaxations
+    return t.take(inv, axis=1), len(layer_bounds) - 1
 
 
 def _solve_buckets(board, index, masks, bits, deadline):
@@ -720,18 +716,13 @@ def _solve_buckets(board, index, masks, bits, deadline):
     and something settled in the other child, and the recolour rule reads
     the settled table, both for later buckets.
 
-    Returns the table, shape (slot, colour, ignore set) with INF where no
-    rule reaches, and the number of entries settled at a nonzero value.
+    Returns the table, shape (colour, ignore set, slot) with INF where no
+    rule reaches.
     """
     # The table is planes-major, (colour, ignore set, slot), so that a split
-    # record gathers and min-reduces contiguous runs per plane.  Values stay
-    # within the board's cell count, and the sum of two tentative values
-    # stays inside int16.
-    inf = _BUCKET_INF
-    seeds, imap = _dense_seeds(board, index, masks, bits, np.int16, inf)
-    best = np.ascontiguousarray(seeds.transpose(1, 2, 0))
-    del seeds
-    val = np.full_like(best, inf)
+    # record gathers and min-reduces contiguous runs per plane.
+    best, imap = _dense_seeds(board, index, masks, bits)
+    val = np.full_like(best, INF)
     flat_best = best.reshape(-1, best.shape[2])
     flat_val = val.reshape(flat_best.shape)
     rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
@@ -758,14 +749,14 @@ def _solve_buckets(board, index, masks, bits, deadline):
         hit = np.flatnonzero(((left & (right >> 1)) | (right & (left >> 1))) & 1)
         return hit if recs is None else recs[hit]
 
-    has_settled = np.zeros(len(index.slots), dtype=bool)
+    has_settled = np.zeros(len(index.slot_sid), dtype=bool)
     has_zero = has_settled  # the same array until bucket 0 is settled
     zero_recs = None  # records with a child holding a zero entry; None: all
     while True:
         _check_deadline(deadline)
-        open_best = np.where(val == inf, best, inf)
+        open_best = np.where(val == INF, best, INF)
         k = int(open_best.min())
-        if k >= inf:
+        if k >= INF:
             break
         new = open_best == k
         in_bucket = np.zeros_like(has_settled)
@@ -775,15 +766,14 @@ def _solve_buckets(board, index, masks, bits, deadline):
             in_bucket |= new_slots
             has_settled |= new_slots
             offer_splits(touching(zero_recs, new_slots, has_zero))
-            new = (best == k) & (val == inf)
+            new = (best == k) & (val == INF)
         if k == 0:
             has_zero = has_settled.copy()
             zero_recs = np.flatnonzero(has_zero[rec_left] | has_zero[rec_right])
         else:
             offer_splits(touching(None, in_bucket, has_settled))
         np.minimum(best, val.min(axis=0)[imap] + 1, out=best)
-    del best, flat_best
-    return _int32_table(val)
+    return val
 
 
 def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference",
@@ -798,18 +788,17 @@ def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference"
     deadline = None if time_budget is None else time.monotonic() + time_budget
     index = _get_index(board.n, deadline)
     bits = _plane_bits(board)
-    entries = len(index.slots) * c << int(np.count_nonzero(bits))
+    entries = len(index.slot_sid) * c << int(np.count_nonzero(bits))
     if entries > _TABLE_ENTRY_CAP:
         raise CapacityError(
             f"key space too large: {entries:,} table entries, cap {_TABLE_ENTRY_CAP:,}; "
             "use fewer colours or a narrower board")
     masks = _section_masks(board, index, bits)
     if mode == "reference":
-        dense, sweeps, relax = _solve_dense(board, index, masks, bits, deadline)
+        values, sweeps = _solve_dense(board, index, masks, bits, deadline)
     else:
-        dense, relax = _solve_buckets(board, index, masks, bits, deadline)
-        sweeps = 0
-    table = DPTable(board, index, mode, masks, bits, target, dense, sweeps, relax)
+        values, sweeps = _solve_buckets(board, index, masks, bits, deadline), 0
+    table = DPTable(board, index, mode, masks, bits, target, values, sweeps)
 
     best, goal = table.board_value(target)
     if best >= INF:
@@ -839,7 +828,7 @@ def reconstruct(table: DPTable) -> list:
         kind, *children = table._rule_of(slot, d, mask)
         moves = [m for child in children for m in derive(*child)]
         if kind == "recolour":
-            moves.append(Move(board.vertex(*index.slots[slot][1]), d))
+            moves.append(Move(int(index.slot_ends[slot, 0]), d))
         return moves
 
     slot, d = table.goal

@@ -133,14 +133,9 @@ def min_moves(
     ub_moves = greedy_upper_bound(g, target, allowed)
     max_depth = budget.max_depth if budget.max_depth is not None else _NO_LIMIT
 
-    def mono_colour(col):
-        first = col[0]
-        return first if all(x == first for x in col) else None
-
     start = tuple(g.colouring)
-    start_mono = mono_colour(start)
-    if start_mono is not None:
-        if target is None or start_mono == target:
+    if len(set(start)) == 1:
+        if target is None or start[0] == target:
             return MinMovesResult("exact", 0, [], 0)
         fix = Move(min(allowed) if allowed else 0, target)
         return MinMovesResult("exact", 1, [fix], 0)
@@ -208,9 +203,9 @@ def min_moves(
                     nstate = tuple(nstate)
                     if nstate in parents:
                         continue
-                    mono = mono_colour(nstate)
-                    if mono is not None:
-                        if target is None or mono == target:
+                    present = set(nstate)
+                    if len(present) == 1:  # flooded, with the move's colour
+                        if target is None or colour == target:
                             # Breadth-first order: first hit is optimal.
                             parents[nstate] = (state, Move(mover, colour))
                             best_state = nstate
@@ -228,8 +223,8 @@ def min_moves(
                             )
                         continue
                     # Flooding still needs >= (#colours present - 1) moves.
-                    lb = len(set(nstate)) - 1
-                    if target is not None and target not in nstate:
+                    lb = len(present) - 1
+                    if target is not None and target not in present:
                         lb += 1
                     if depth + 1 + lb >= best_value:
                         continue

@@ -132,12 +132,14 @@ def zero_test_table(table):
     present = np.flatnonzero(table._bits).tolist()  # palette colour per plane bit
     canon = table._canonical()
     want = np.zeros(table._dense.shape, dtype=bool)
-    for slot, (sid, r1, r2) in enumerate(index.slots):
-        d = board.cells[r1[0]][r1[1]]
-        if board.cells[r2[0]][r2[1]] != d:
+    for slot, (sid, (v1, v2)) in enumerate(zip(index.slot_sid.tolist(),
+                                                index.slot_ends.tolist())):
+        (row1, col1), (row2, col2) = board.cell_of(v1), board.cell_of(v2)
+        d = board.cells[row1][col1]
+        if board.cells[row2][col2] != d:
             continue
         t1, bb1, t2, bb2 = index.geoms[sid]
-        head = (Border(t1, bb1), Border(t2, bb2), board.vertex(*r1), board.vertex(*r2))
+        head = (Border(t1, bb1), Border(t2, bb2), v1, v2)
         for plane in np.flatnonzero(canon[slot]).tolist():
             ignore = sum(1 << col for j, col in enumerate(present) if plane >> j & 1)
             want[slot, d, plane] = zero_test(board, ZKey(*head, d, ignore))
@@ -254,12 +256,12 @@ def test_index_geometry_matches_board_functions(n):
 
     index = dp2xn._SectionIndex(n)
     got_slots = []
-    for sid, r1, r2 in index.slots:
+    for sid, (v1, v2) in zip(index.slot_sid.tolist(), index.slot_ends.tolist()):
         t1, bb1, t2, bb2 = index.geoms[sid]
-        got_slots.append((Border(t1, bb1), Border(t2, bb2), board.vertex(*r1), board.vertex(*r2)))
+        got_slots.append((Border(t1, bb1), Border(t2, bb2), v1, v2))
     assert sorted(index.by_geom) == sorted((*b1, *b2) for b1, b2 in sections)
     assert sorted(got_slots) == sorted(slots)
-    parents = np.repeat(np.arange(len(index.slots)), np.diff(index.rec_start))
+    parents = np.repeat(np.arange(len(index.slot_sid)), np.diff(index.rec_start))
     assert len(parents) == len(records)
     assert {(got_slots[p], got_slots[l], got_slots[r]) for p, l, r in zip(
         parents.tolist(), index.rec_left.tolist(), index.rec_right.tolist())} == records
@@ -274,12 +276,12 @@ def test_slots_are_numbered_in_layer_order(n):
     sizes = index.cells.sum(axis=(1, 2))[index.slot_sid]
     assert (np.diff(sizes) >= 0).all()
     bounds = index.layer_bounds
-    assert bounds[0] == 0 and bounds[-1] == len(index.slots)
+    assert bounds[0] == 0 and bounds[-1] == len(index.slot_sid)
     assert (sizes[bounds[:-1]] == sizes[bounds[1:] - 1]).all()
     assert (sizes[bounds[1:-1]] > sizes[bounds[1:-1] - 1]).all()
     assert index.rec_start[0] == 0 and (np.diff(index.rec_start) >= 0).all()
     assert index.rec_start[-1] == len(index.rec_left) == len(index.rec_right)
-    parents = np.repeat(np.arange(len(index.slots)), np.diff(index.rec_start))
+    parents = np.repeat(np.arange(len(index.slot_sid)), np.diff(index.rec_start))
     assert (sizes[index.rec_left] < sizes[parents]).all()
     assert (sizes[index.rec_right] < sizes[parents]).all()
 
@@ -358,9 +360,9 @@ def test_reference_table_equals_bucketed_worklist():
 
 
 @st.composite
-def small_boards(draw):
-    n = draw(st.integers(1, 5))
-    c = draw(st.integers(1, 4))
+def small_boards(draw, min_n=1, max_n=5, max_colours=4):
+    n = draw(st.integers(min_n, max_n))
+    c = draw(st.integers(1, max_colours))
     cells = draw(st.lists(st.integers(0, c - 1), min_size=2 * n, max_size=2 * n))
     return Board2xN(n, (tuple(cells[:n]), tuple(cells[n:])), colour_tokens(c))
 
@@ -373,6 +375,20 @@ def test_reference_worklist_and_oracle_agree(board, data):
     want = min_moves(graph, target=target).value
     assert solve(board, target=target, mode="reference")[0] == want
     assert solve(board, target=target, mode="worklist")[0] == want
+
+
+@settings(max_examples=800, deadline=None, database=None, derandomize=True)
+@given(board=small_boards(5, 7, 3))
+def test_low_skew_dp_equals_oracle_beyond_2x4(board):
+    # Exactness of the low-skew restriction (module docstring, step 4) on
+    # wider boards than the exhaustive 2x4 test reaches: free and for every
+    # target colour, in both modes.
+    graph = to_graph(board)
+    targets = [None, *range(len(board.palette))]
+    want = [min_moves(graph, target=target).value for target in targets]
+    for mode in ("reference", "worklist"):
+        _, table = solve(board, mode=mode)
+        assert [table.board_value(target)[0] for target in targets] == want, (board.cells, mode)
 
 
 def test_value_bounds():
@@ -400,6 +416,27 @@ def test_ignore_monotonicity():
             for i2, v2 in pairs:
                 if i1 & i2 == i1:  # i1 subset of i2
                     assert v1 >= v2, (slot, i1, i2)
+
+
+def test_unreached_entries_read_inf_and_have_no_rule():
+    # An entry that no rule reaches holds dp2xn.INF in the table.  Through
+    # its key it reads +inf, entries() omits it and it has no back-pointer.
+    board = board_of("abc", "bca")
+    for mode in ("reference", "worklist"):
+        _, table = solve(board, mode=mode)
+        index, entries = table._index, table.entries()
+        present = np.flatnonzero(table._bits).tolist()  # palette colour per plane bit
+        unreached = np.argwhere((table._dense >= dp2xn.INF) & table._canonical()[:, None, :])
+        assert len(unreached), mode
+        for slot, d, plane in unreached.tolist():
+            t1, bb1, t2, bb2 = index.geoms[index.slot_sid[slot]]
+            r1, r2 = index.slot_ends[slot].tolist()
+            ignore = sum(1 << col for j, col in enumerate(present) if plane >> j & 1)
+            key = ZKey(Border(t1, bb1), Border(t2, bb2), r1, r2, d, ignore)
+            assert table.value_of(key) == float("inf"), (key, mode)
+            assert key not in entries, (key, mode)
+            with pytest.raises(InputError):
+                table.back_pointer(key)
 
 
 def test_theta_and_value_of():
