@@ -99,11 +99,11 @@ Two modes compute the same least fixed point.  "reference" makes one pass in
 structural order.  A split points from a section to two sections with fewer
 cells, and the recolour rule from ignore set I to I + {d}.  Slots are
 numbered by cell count, so the pass walks slot ranges of equal cell count
-upwards, applies the split rule from the final earlier ones, then walks the
-ignore sets by decreasing popcount and closes the one same-plane case, d in
-I, with a single step.  "worklist" is Dial's bucketed label-setting pass
-over the same table, which settles entries in value order, an independent
-cross-check.
+upwards, applies the split rule from the final earlier ones, then closes the
+recolour rule with one min-plus subset transform over the ignore sets, a
+pass per plane bit (Bjorklund et al., "Fourier meets Mobius", STOC 2007).
+"worklist" is Dial's bucketed label-setting pass over the same table, which
+settles entries in value order, an independent cross-check.
 
 One table store serves every palette.  Its ignore-set planes have one bit
 per colour that occurs on the board: present colours take bits 0..k-1 in
@@ -150,11 +150,11 @@ INF = (1 << 14) - 1
 _SEED_CELLS = 4
 # Table entries (slots x palette x 2^colours on the board) a solve may
 # allocate.  The table is int16, 2 B per entry, but a solve peaks at about
-# 5.4 B per entry in reference mode (the table, its plane-permuted copy and
-# the pass's temporaries) and 11.6 B in worklist mode (two int16 arrays and
-# full-table temporaries per bucket).  Measured at 48.4M entries (2x10, 11
-# of 16 colours on the board): 263 MB and 559 MB peak RSS.  So the cap keeps
-# a solve under about 600 MB.
+# 3.9 B per entry in reference mode (the table and the pass's per-layer
+# temporaries) and 11.9 B in worklist mode (two int16 arrays and full-table
+# temporaries per bucket).  Measured at 48.4M entries (2x10, 11 of 16
+# colours on the board, fresh processes): 180 MB and 548 MB peak RSS.  So
+# the cap keeps a solve under about 600 MB.
 _TABLE_ENTRY_CAP = 50_000_000
 # Split records a section index may hold.  The index keeps 8 B per record
 # (two int32 child slots), so the cap keeps it under 1 GB.  The
@@ -645,41 +645,35 @@ def _solve_dense(board, index, masks, bits, deadline):
     """One relaxation pass in structural order over the ignore-set planes.
 
     Layers are walked by increasing cell count.  Within a layer the split
-    rule reads only earlier layers, which are final.  The recolour rule then
-    walks the ignore planes by decreasing popcount, so that I + {d} is final
-    whenever d is not in I.  The same-plane case d in I is closed by one
-    step v(d, I) <= 1 + min_d' v(d', I), which cannot lower the plane's
-    minimum.  Taken over every d, that step leaves d outside I unchanged:
-    values only drop as the ignore set grows, so the bound from I + {d}
-    applied just before is at least as good.
+    rule reads only earlier layers, which are final.  Let B(J) be the
+    layer's least value over colours on plane J after the splits, and W(J)
+    the same after the recolour rule: W(J) = min(B(J), 1 + min W(J + b))
+    over plane bits b not in J (a bit in J, or an absent colour's bit 0,
+    only offers W(J) + 1).  Unrolled, W(J) is the least B(K) + |K - J| over
+    supersets K of J, one pass W(J) <= W(J + b) + 1 per bit.  Then every
+    entry takes v(d, I) <= 1 + W(I + {d}), the same-plane case d in I too.
 
     Returns the table, shape (colour, ignore set, slot) with INF where no
     rule reaches, and the number of layers.
     """
-    # The pass works planes-major, (colour, ignore set, slot), with planes in
-    # decreasing popcount, so that a layer's popcount run is one strided
-    # view and a split chunk gathers and min-reduces contiguous runs per
-    # plane.  Slots are numbered in layer order, so a layer is a slot range
-    # and its split records one run.
+    # Planes-major, (colour, ignore set, slot): a split chunk gathers and
+    # min-reduces contiguous runs per plane.  A layer is a slot range and its
+    # split records one run.
     t, imap = _dense_seeds(board, index, masks, bits)
     c, planes = t.shape[:2]
-    popcount = np.array([bin(q).count("1") for q in range(planes)])
-    perm = np.argsort(-popcount, kind="stable")
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(planes)
-    pmap = inv[imap[:, perm]]
-    pc_bounds = np.searchsorted(-popcount[perm], np.arange(-popcount[-1], 2)).tolist()
-    # take, not t[:, perm]: that result is not C-contiguous, and flat would
-    # silently become a copy.
-    t = t.take(perm, axis=1)
     flat = t.reshape(c * planes, -1)
     rec_start, left, right = index.rec_start, index.rec_left, index.rec_right
-    layer_bounds = index.layer_bounds
+    layer_bounds = index.layer_bounds.tolist()
+    # The slots that own split records, cut per layer.
+    owners = np.flatnonzero(rec_start[1:] != rec_start[:-1])
+    owner_bounds = np.searchsorted(owners, layer_bounds).tolist()
+    plane_bits = [1 << j for j in range(planes.bit_length() - 1)]
 
     max_chunk_records = max(1, _CHUNK_ENTRIES // (c * planes))
-    for lo, hi in zip(layer_bounds[:-1].tolist(), layer_bounds[1:].tolist()):
+    for lo, hi, pa, pb in zip(layer_bounds[:-1], layer_bounds[1:],
+                              owner_bounds[:-1], owner_bounds[1:]):
         _check_deadline(deadline)
-        parents = lo + np.flatnonzero(np.diff(rec_start[lo:hi + 1]))
+        parents = owners[pa:pb]
         if len(parents):
             # Chunk the split records on parent boundaries to bound memory.
             starts = np.r_[rec_start[parents], rec_start[hi]]
@@ -693,13 +687,13 @@ def _solve_dense(board, index, masks, bits, deadline):
                 group = parents[ga:gb]
                 flat[:, group] = np.minimum(
                     flat[:, group], np.minimum.reduceat(sums, starts[ga:gb] - rlo, axis=1))
-        low = np.full((planes, hi - lo), INF, dtype=t.dtype)  # min over colours
-        for a, b in zip(pc_bounds[:-1], pc_bounds[1:]):
-            run = t[:, a:b, lo:hi]
-            np.minimum(run, low[pmap[:, a:b]] + 1, out=run)
-            low[a:b] = run.min(axis=0)
-            np.minimum(run, low[a:b] + 1, out=run)
-    return t.take(inv, axis=1), len(layer_bounds) - 1
+        run = t[:, :, lo:hi]
+        low = run.min(axis=0)  # W, (ignore set, slot)
+        for b in plane_bits:
+            pair = low.reshape(planes // (2 * b), 2, b, hi - lo)
+            np.minimum(pair[:, 0], pair[:, 1] + 1, out=pair[:, 0])
+        np.minimum(run, low[imap] + 1, out=run)
+    return t, len(layer_bounds) - 1
 
 
 def _solve_buckets(board, index, masks, bits, deadline):
@@ -713,8 +707,9 @@ def _solve_buckets(board, index, masks, bits, deadline):
     when one child was settled in it and the other has value 0; each bucket
     repeats that zero-partner round until it settles nothing new.  Then the
     bucket offers the split sums of every record with a child settled in it
-    and something settled in the other child, and the recolour rule reads
-    the settled table, both for later buckets.
+    and the other in a slot with settled entries but no zero (zero rounds
+    offered the rest with their final values for the bucket), and the
+    recolour rule reads the settled table, both for later buckets.
 
     Returns the table, shape (colour, ignore set, slot) with INF where no
     rule reaches.
@@ -771,7 +766,7 @@ def _solve_buckets(board, index, masks, bits, deadline):
             has_zero = has_settled.copy()
             zero_recs = np.flatnonzero(has_zero[rec_left] | has_zero[rec_right])
         else:
-            offer_splits(touching(None, in_bucket, has_settled))
+            offer_splits(touching(None, in_bucket, has_settled & ~has_zero))
         np.minimum(best, val.min(axis=0)[imap] + 1, out=best)
     return val
 

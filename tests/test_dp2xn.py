@@ -359,6 +359,39 @@ def test_reference_table_equals_bucketed_worklist():
         assert tr.stats().relaxations == tw.stats().relaxations
 
 
+def test_tables_are_the_least_fixed_point_of_the_rules():
+    # One application of every rule to the finished table, on every plane:
+    # the split rule over each record, the recolour rule, and the seeds.
+    # The table must equal min(seeds, rules(table)) entry by entry.  No
+    # zero-cost cycle exists (a recolour adds 1, and a 0 + v split reads
+    # sections with fewer cells), so only the least fixed point passes.
+    rng = random.Random(1100)
+    boards = [random_board(rng, rng.randint(1, 6), rng.randint(1, 4)) for _ in range(20)]
+    # Worklist offers that only a split of two nonzero entries needs first
+    # matter from 2x7 up.
+    boards += [random_board(rng, n, 4) for n in (7, 7, 8, 8)]
+    boards += [
+        Board2xN(3, ((0, 5, 2), (7, 4, 2)), colour_tokens(9)),
+        Board2xN(4, ((1, 1, 3, 1), (3, 0, 1, 3)), colour_tokens(5)),
+        Board2xN(5, ((6, 0, 3, 6, 2), (2, 6, 0, 3, 3)), colour_tokens(8)),
+    ]
+    for board in boards:
+        for mode in ("reference", "worklist"):
+            _, table = solve(board, mode=mode)
+            index = table._index
+            values = table._values.astype(np.int64)  # (colour, ignore set, slot)
+            seeds, imap = dp2xn._dense_seeds(board, index, table._masks,
+                                             dp2xn._plane_bits(board))
+            rules = np.minimum(seeds, values.min(axis=0)[imap] + 1)
+            sums = values[:, :, index.rec_left] + values[:, :, index.rec_right]
+            for slot in range(len(index.slot_sid)):
+                lo, hi = index.rec_start[slot], index.rec_start[slot + 1]
+                if hi > lo:
+                    np.minimum(rules[:, :, slot], sums[:, :, lo:hi].min(axis=2),
+                               out=rules[:, :, slot])
+            assert np.array_equal(values, np.minimum(rules, dp2xn.INF)), (mode, board.cells)
+
+
 @st.composite
 def small_boards(draw, min_n=1, max_n=5, max_colours=4):
     n = draw(st.integers(min_n, max_n))
