@@ -1,0 +1,83 @@
+"""Worklist-mode solve time and peak RSS of two source trees, side by side.
+
+    python scripts/bench_worklist.py LABEL=SRC_DIR LABEL=SRC_DIR [--runs 5]
+
+Each SRC_DIR holds a `floodit` package (the `src/` of a checkout).  Every
+measurement is a fresh process that solves one board with
+`dp2xn.solve(board, mode="worklist")`, section index build included, and
+reports the wall time of that call, `ru_maxrss` of the process and the md5
+of the solved table.  A round runs every board once per tree, and rounds
+alternate which tree runs first.  Prints one JSON row per tree: the
+per-board medians and every run.
+
+Boards: the acceptance criterion's 2x60 board with 4 colours, and a 2x10
+board with 11 of 16 palette colours (48.4M table entries), where the
+ignore-set planes dominate the cost.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+CHILD = r"""
+import hashlib, random, resource, sys, time
+from floodit import dp2xn
+from floodit.board import Board2xN
+from floodit.gen import colour_tokens, random_board
+if sys.argv[1] == "2x60_4c":
+    board = random_board(random.Random(202512), 60, 4)
+else:
+    rng = random.Random(1110)
+    cells = list(range(11)) + [rng.randrange(11) for _ in range(9)]
+    rng.shuffle(cells)
+    board = Board2xN(10, (tuple(cells[:10]), tuple(cells[10:])), colour_tokens(16))
+start = time.perf_counter()
+value, table = dp2xn.solve(board, mode="worklist")
+seconds = time.perf_counter() - start
+print(value, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+      hashlib.md5(table._values.tobytes()).hexdigest())
+"""
+
+BOARDS = ("2x60_4c", "2x10_11of16c")
+
+
+def measure(src, board):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", CHILD, board], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout.split()
+    return {"value": int(out[0]), "solve_s": round(float(out[1]), 3),
+            "peak_rss_mb": round(float(out[2]), 1), "md5": out[3]}
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("sides", nargs="+", metavar="LABEL=SRC_DIR")
+    parser.add_argument("--runs", type=int, default=5)
+    args = parser.parse_args(argv)
+    sides = [side.split("=", 1) for side in args.sides]
+    if any(len(side) != 2 for side in sides):
+        parser.error("each side is LABEL=SRC_DIR")
+    results = {label: {board: [] for board in BOARDS} for label, _ in sides}
+    for r in range(args.runs):
+        for label, src in sides if r % 2 == 0 else sides[::-1]:
+            for board in BOARDS:
+                results[label][board].append(measure(src, board))
+    for label, _ in sides:
+        row = {"revision": label, "runs": args.runs}
+        for board, got in results[label].items():
+            row[board] = {
+                "value": got[0]["value"],
+                "md5": sorted({g["md5"] for g in got}),
+                "solve_s_median": statistics.median(g["solve_s"] for g in got),
+                "peak_rss_mb_median": statistics.median(g["peak_rss_mb"] for g in got),
+                "solve_s": [g["solve_s"] for g in got],
+                "peak_rss_mb": [g["peak_rss_mb"] for g in got],
+            }
+        print(json.dumps(row))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -28,9 +28,9 @@ sections and for split borders alike.  The full board's borders (0, 0) and
 (n, n) have skew 0 and a split's children take their borders from the parent
 or from the split border, so no other section is reachable.  This takes the
 split records from about n^5.5 to about n^3.3 (9.26M at n = 60).  Keys on a
-section with a border of higher skew are not in the table: value_of,
-back_pointer and theta raise InputError for them.  A low-skew key whose
-derivations all need such a section reads +inf.
+section with a border of higher skew are not in the table: value_of and
+back_pointer raise InputError for them.  A low-skew key whose derivations
+all need such a section reads +inf.
 
 Lemma (restriction keeps board values).  The full-board value, free or for
 any target colour, is the same with low-skew borders only.  Proof sketch.
@@ -150,11 +150,11 @@ INF = (1 << 14) - 1
 _SEED_CELLS = 4
 # Table entries (slots x palette x 2^colours on the board) a solve may
 # allocate.  The table is int16, 2 B per entry, but a solve peaks at about
-# 3.9 B per entry in reference mode (the table and the pass's per-layer
-# temporaries) and 11.9 B in worklist mode (two int16 arrays and full-table
+# 4.0 B per entry in reference mode (the table and the pass's per-layer
+# temporaries) and 4.5 B in worklist mode (the table and full-table boolean
 # temporaries per bucket).  Measured at 48.4M entries (2x10, 11 of 16
-# colours on the board, fresh processes): 180 MB and 548 MB peak RSS.  So
-# the cap keeps a solve under about 600 MB.
+# colours on the board, fresh processes): 184 MB and 208 MB peak RSS.  So
+# the cap keeps a solve under about 250 MB.
 _TABLE_ENTRY_CAP = 50_000_000
 # Split records a section index may hold.  The index keeps 8 B per record
 # (two int32 child slots), so the cap keeps it under 1 GB.  The
@@ -585,13 +585,6 @@ class DPTable:
                     goal = (slot, d)
         return best, goal
 
-    def theta(self, z: ZKey) -> int:
-        """Value plus the number of borders strictly between the key's
-        borders (the measure that bounds relaxation depth)."""
-        v = self.value_of(z)
-        between = (z.b2.t - z.b1.t + 1) * (z.b2.b - z.b1.b + 1) - 2
-        return int(v) + between
-
     def stats(self) -> TableStats:
         canon = self._canonical().T  # (ignore set, slot), like one colour's values
         keys = zeros = max_value = relaxations = 0
@@ -605,10 +598,6 @@ class DPTable:
             max_value = max(max_value, int(v.max(where=finite, initial=0)))
         return TableStats(keys=int(keys), zeros=int(zeros), max_value=max_value,
                           sweeps=self._sweeps, relaxations=int(relaxations))
-
-
-def table_stats(table: DPTable) -> TableStats:
-    return table.stats()
 
 
 # -- solvers ---------------------------------------------------------------
@@ -700,16 +689,21 @@ def _solve_buckets(board, index, masks, bits, deadline):
     """Bucketed label-setting pass (Dial's algorithm) over the ignore-set
     planes.
 
-    Settles entries bucket by bucket in value order 0, 1, 2, ...: an entry
-    is final once its tentative value is the least among unsettled entries.
-    Rule consequences are offered only from settled entries.  A split offer
-    is the sum of its two children, so it lands in the current bucket only
-    when one child was settled in it and the other has value 0; each bucket
-    repeats that zero-partner round until it settles nothing new.  Then the
-    bucket offers the split sums of every record with a child settled in it
-    and the other in a slot with settled entries but no zero (zero rounds
-    offered the rest with their final values for the bucket), and the
-    recolour rule reads the settled table, both for later buckets.
+    Settles entries bucket by bucket in value order 0, 1, 2, ...: once
+    bucket k is done, every entry whose value is at most k is final, so
+    "settled" means value <= k and the one relaxed array is the table.
+    Offers read that array, so one may add an unsettled child's tentative
+    value.  A tentative value is the value of some derivation, so no offer
+    goes below an entry's final value; and no offer is weaker than one
+    that reads unsettled entries as +inf, so every entry still reaches its
+    final value in its own bucket.  A split offer is the sum of its two
+    children, so it lands in the current bucket only when one child was
+    settled in it and the other has value 0; each bucket repeats that
+    zero-partner round over the slots where an entry dropped to k until
+    none does.  Then the bucket offers the split sums of every record with
+    a child settled in it and the other in a slot with settled entries but
+    no zero (zero rounds offered the rest with their final values for the
+    bucket), and the recolour rule, both for later buckets.
 
     Returns the table, shape (colour, ignore set, slot) with INF where no
     rule reaches.
@@ -717,23 +711,27 @@ def _solve_buckets(board, index, masks, bits, deadline):
     # The table is planes-major, (colour, ignore set, slot), so that a split
     # record gathers and min-reduces contiguous runs per plane.
     best, imap = _dense_seeds(board, index, masks, bits)
-    val = np.full_like(best, INF)
     flat_best = best.reshape(-1, best.shape[2])
-    flat_val = val.reshape(flat_best.shape)
     rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
-    chunk_records = max(1, _CHUNK_ENTRIES // len(flat_val))
+    chunk_records = max(1, _CHUNK_ENTRIES // len(flat_best))
 
-    def offer_splits(recs):
+    def offer_splits(recs, k):
+        """Offer the split sums of recs; return the slots where an entry
+        dropped to k."""
+        dropped = np.zeros(flat_best.shape[1], dtype=bool)
         for lo in range(0, len(recs), chunk_records):
             _check_deadline(deadline)
             chunk = recs[lo:lo + chunk_records]
-            sums = np.take(flat_val, rec_left[chunk], axis=1)
-            sums += np.take(flat_val, rec_right[chunk], axis=1)
+            sums = np.take(flat_best, rec_left[chunk], axis=1)
+            sums += np.take(flat_best, rec_right[chunk], axis=1)
             parents = np.searchsorted(rec_start, chunk, side="right") - 1
             starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
             parents = parents[starts]
-            flat_best[:, parents] = np.minimum(flat_best[:, parents],
-                                               np.minimum.reduceat(sums, starts, axis=1))
+            offer = np.minimum.reduceat(sums, starts, axis=1)
+            old = flat_best[:, parents]
+            dropped[parents] |= ((offer < old) & (offer == k)).any(axis=0)
+            flat_best[:, parents] = np.minimum(old, offer)
+        return dropped
 
     def touching(recs, new_slots, partner_slots):
         """Records of recs (all when None) with one child in new_slots and
@@ -747,28 +745,27 @@ def _solve_buckets(board, index, masks, bits, deadline):
     has_settled = np.zeros(len(index.slot_sid), dtype=bool)
     has_zero = has_settled  # the same array until bucket 0 is settled
     zero_recs = None  # records with a child holding a zero entry; None: all
+    k = -1
     while True:
         _check_deadline(deadline)
-        open_best = np.where(val == INF, best, INF)
-        k = int(open_best.min())
+        k = int(best.min(where=best > k, initial=INF))
         if k >= INF:
             break
-        new = open_best == k
+        new_slots = (best == k).any(axis=(0, 1))
         in_bucket = np.zeros_like(has_settled)
-        while new.any():
-            val[new] = k
-            new_slots = new.any(axis=(0, 1))
+        while new_slots.any():
             in_bucket |= new_slots
             has_settled |= new_slots
-            offer_splits(touching(zero_recs, new_slots, has_zero))
-            new = (best == k) & (val == INF)
+            new_slots = offer_splits(touching(zero_recs, new_slots, has_zero), k)
         if k == 0:
             has_zero = has_settled.copy()
             zero_recs = np.flatnonzero(has_zero[rec_left] | has_zero[rec_right])
         else:
-            offer_splits(touching(None, in_bucket, has_settled & ~has_zero))
-        np.minimum(best, val.min(axis=0)[imap] + 1, out=best)
-    return val
+            offer_splits(touching(None, in_bucket, has_settled & ~has_zero), k)
+        low = best.min(axis=0) + 1
+        for d, row in enumerate(best):  # a colour at a time: no table-sized gather
+            np.minimum(row, low[imap[d]], out=row)
+    return best
 
 
 def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference",

@@ -9,24 +9,19 @@ wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .engine import ColouredGraph, Move, colours_present, induced_subgraph, replay
+from .engine import ColouredGraph, Move, induced_subgraph, replay
 from .errors import EnumerationLimitError, InputError
-
-_NO_LIMIT = 10**18
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     max_states: int = 2_000_000
-    max_depth: Optional[int] = None
 
     def __post_init__(self):
         if self.max_states <= 0:
             raise InputError("max_states must be positive")
-        if self.max_depth is not None and self.max_depth <= 0:
-            raise InputError("max_depth must be positive")
 
 
 @dataclass
@@ -131,7 +126,6 @@ def min_moves(
     adjacency = g.adjacency
 
     ub_moves = greedy_upper_bound(g, target, allowed)
-    max_depth = budget.max_depth if budget.max_depth is not None else _NO_LIMIT
 
     start = tuple(g.colouring)
     if len(set(start)) == 1:
@@ -167,10 +161,6 @@ def min_moves(
     while frontier:
         if depth + 1 >= best_value:
             break  # deeper layers cannot improve on the best known solution
-        if depth + 1 > max_depth:
-            return MinMovesResult(
-                "unknown", None, None, explored, reason="depth budget exhausted"
-            )
         nxt = []
         for state in frontier:
             explored += 1

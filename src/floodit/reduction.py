@@ -13,8 +13,7 @@ move per distinct kept colour finishes the islands.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .board import Board2xN, board_from_tokens, to_graph
 from .engine import Move, replay
