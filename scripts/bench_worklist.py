@@ -6,7 +6,9 @@ Each SRC_DIR holds a `floodit` package (the `src/` of a checkout).  Every
 measurement is a fresh process that solves one board with
 `dp2xn.solve(board, mode="worklist")`, section index build included, and
 reports the wall time of that call, `ru_maxrss` of the process and the md5
-of the solved table.  A round runs every board once per tree, and rounds
+of the solved table, expanded to (colour, ignore set, slot) over every
+palette colour and every subset of the board's colours (the peak is read
+before the expansion).  A round runs every board once per tree, and rounds
 alternate which tree runs first.  Prints one JSON row per tree: the
 per-board medians and every run.
 
@@ -24,6 +26,7 @@ import sys
 
 CHILD = r"""
 import hashlib, random, resource, sys, time
+import numpy as np
 from floodit import dp2xn
 from floodit.board import Board2xN
 from floodit.gen import colour_tokens, random_board
@@ -37,8 +40,11 @@ else:
 start = time.perf_counter()
 value, table = dp2xn.solve(board, mode="worklist")
 seconds = time.perf_counter() - start
-print(value, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-      hashlib.md5(table._values.tobytes()).hexdigest())
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+# (colour, ignore set, slot) over every palette colour and every subset of
+# the board's colours, whatever layout the solver stores.
+full = np.ascontiguousarray(table._dense.transpose(1, 2, 0))
+print(value, seconds, peak, hashlib.md5(full.tobytes()).hexdigest())
 """
 
 BOARDS = ("2x60_4c", "2x10_11of16c")

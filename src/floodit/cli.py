@@ -52,6 +52,8 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--target", help="final colour token")
     p_solve.add_argument("--emit-sequence", action="store_true")
     p_solve.add_argument("--json", action="store_true")
+    p_solve.add_argument("--time-budget", type=float, metavar="SECONDS",
+                         help="wall-clock budget of the dp method; exit 3 when it runs out")
 
     p_reduce = sub.add_parser("reduce", help="compile a graph into a board")
     p_reduce.add_argument("graph", help="edge-list file path")
@@ -103,6 +105,8 @@ def _cmd_solve(args) -> int:
             raise _UsageError(f"unknown colour token {args.target!r}")
         target = board.palette.index(args.target)
 
+    if args.time_budget is not None and not args.time_budget > 0:
+        raise _UsageError("--time-budget must be positive")
     method = args.method
     if method == "auto":
         method = "bfs" if 2 * board.n <= AUTO_BFS_MAX_SQUARES else "dp"
@@ -111,7 +115,7 @@ def _cmd_solve(args) -> int:
     moves = None
     try:
         if method == "dp":
-            value, table = dp2xn.solve(board, target=target)
+            value, table = dp2xn.solve(board, target=target, time_budget=args.time_budget)
             stats = table.stats().__dict__
             if args.emit_sequence:
                 moves = dp2xn.reconstruct(table)

@@ -95,6 +95,44 @@ The bound is tight: a 2x2 section with both end cells in one column has a
 U-shaped zero path that crosses every boundary twice.  The seeded tables are
 checked entry by entry against zero_test in tests/test_dp2xn.py.
 
+One table store serves every palette.  A full plane is a subset of the k
+colours that occur on the board, one bit each in palette order.  Keys name
+ignore sets as palette bitmasks canonicalised to the colours present in the
+section (ZKey.ignore); masks that agree on a section's colours provably hold
+equal values there.  The table stores only the k board colours, each on the
+2^(k-1) planes without its own bit (lemma "own bit"): colour j's plane p is
+the full plane expand[j, p], and full plane J reads colour j's plane
+row_of[j, J].  Palette colours absent from the board have no rows (lemma
+"absent colours").  So the table holds k x 2^(k-1) x slots entries, half or
+less of the palette x 2^k x slots (colour, ignore set) pairs.
+
+Lemma (own bit).  For a colour d on the board, v(d, I) = v(d, I + {d}) on
+every slot.  Proof.  In a derivation of an entry, the nodes that keep
+colour d are the root and the splits below it, down to seeds and recolour
+steps.  Changing I to I + {d}, or back, at all of them keeps a derivation
+of the same value: a seed passes zero_test for I iff for I + {d}, since the
+test reads I + {d}; a recolour step reads v(d', I + {d}) either way, as
+(I + {d}) + {d} = I + {d}; a split keeps its ignore set.  So the table
+stores colour d on the planes without d's bit, and a plane with the bit
+reads the one without.
+
+Lemma (absent colours).  Let W(I) be the least v(d', I) over the board's
+colours d'.  A palette colour d absent from the board has no plane bit, so
+I + {d} = I, and v(d, I) = 1 + W(I) (INF where W(I) is).  Values do not
+increase as I grows: a derivation for I is one for any superset, with the
+ignore sets enlarged throughout.  Proof.
+  1. Upper bound: the recolour rule to a board colour achieving W(I).
+  2. Lower bound, by induction over derivations.  No seed has colour d,
+     since no cell has it.  A recolour step to d' costs 1 + v(d', I), at
+     least 1 + W(I) for d' on the board and more for d' absent.  A split
+     costs v_l(d, I) + v_r(d, I) >= 2 + W_l(I) + W_r(I) by induction, over
+     the children's least values.  Let d' achieve W_r(I).  Recolouring the
+     left child to d' costs at most 1 + W_l(I + {d'}) <= 1 + W_l(I), so the
+     split of d' gives W(I) <= 1 + W_l(I) + W_r(I) at the parent, and the
+     split of d costs at least 1 + W(I).
+So both passes relax board colours only: an absent colour's entry exceeds
+W(I), so the recolour rule of a board colour reads W over board colours.
+
 Two modes compute the same least fixed point.  "reference" makes one pass in
 structural order.  A split points from a section to two sections with fewer
 cells, and the recolour rule from ignore set I to I + {d}.  Slots are
@@ -105,24 +143,15 @@ pass per plane bit (Bjorklund et al., "Fourier meets Mobius", STOC 2007).
 "worklist" is Dial's bucketed label-setting pass over the same table, which
 settles entries in value order, an independent cross-check.
 
-One table store serves every palette.  Its ignore-set planes have one bit
-per colour that occurs on the board: present colours take bits 0..k-1 in
-palette order, absent colours take none, so the table holds slots x palette
-x 2^k entries.  Recolouring to an absent colour d leaves I + {d} on the same
-plane, the same-plane case both passes already close.  Keys outside the table
-name ignore sets as palette bitmasks canonicalised to the colours present in
-the section (ZKey.ignore).  Inside, a plane is any subset of the board's
-colours; masks that agree on a section's colours provably hold equal values
-there.
-
-The table is the int16 array both passes relax, planes-major (colour,
-ignore set, slot); INF = 2^14 - 1 marks an entry no rule reaches, which
-value_of reads as +inf.  DPTable keeps that array and looks keys up through
-a (slot, colour, ignore set) view of it.
+The table is the int16 array both passes relax, planes-major (colour on the
+board, ignore set without its bit, slot); INF = 2^14 - 1 marks an entry no
+rule reaches, which value_of reads as +inf.  DPTable keeps that array and
+reads every (slot, palette colour, full plane) through one accessor.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -148,13 +177,16 @@ INF = (1 << 14) - 1
 # the threshold, not a margin: with 3 some tables change (board values hold),
 # with 1 board values change.
 _SEED_CELLS = 4
-# Table entries (slots x palette x 2^colours on the board) a solve may
-# allocate.  The table is int16, 2 B per entry, but a solve peaks at about
-# 4.0 B per entry in reference mode (the table and the pass's per-layer
-# temporaries) and 4.5 B in worklist mode (the table and full-table boolean
-# temporaries per bucket).  Measured at 48.4M entries (2x10, 11 of 16
-# colours on the board, fresh processes): 184 MB and 208 MB peak RSS.  So
-# the cap keeps a solve under about 250 MB.
+# Table entries (slots x palette x 2^k, k colours on the board) a solve
+# accepts.  The table stores k x 2^(k-1) x slots of them, half or fewer,
+# int16.  Over the 30 MB a process holds before the solve, a solve peaks at
+# about 5.0 B per stored entry in reference mode (the table and the pass's
+# per-layer temporaries) and 5.3 B in worklist mode (the table and
+# full-table boolean temporaries per bucket).  Measured on a 2x10 board
+# with 11 colours (16.6M stored entries, fresh processes): 113 MB and 117 MB
+# peak RSS, 3.6 and 3.7 B per counted entry with a palette of 11 (33.3M), 2.3
+# and 2.4 B with a palette of 16 (48.4M).  So the cap keeps a solve under
+# about 200 MB.
 _TABLE_ENTRY_CAP = 50_000_000
 # Split records a section index may hold.  The index keeps 8 B per record
 # (two int32 child slots), so the cap keeps it under 1 GB.  The
@@ -259,6 +291,36 @@ class _SectionIndex:
         self.seed_cells = np.array(seed_cells, dtype=np.intp).reshape(-1, _SEED_CELLS)
         self.seed_slot = np.array(seed_slot, dtype=np.intp)
         self._build_records(bt, bb, deadline)
+        self._chunks = {}  # layer_chunks by row count
+
+    def layer_chunks(self, rows):
+        """Per layer, (lo, hi, chunks): its slot range lo:hi and its split
+        records cut on parent boundaries into chunks of about _CHUNK_ENTRIES
+        // rows records (rows: table rows per slot).  A chunk is (rlo, rhi,
+        parents, starts): its record range, the parents owning those records
+        and each parent's first record, offset by rlo.  Cached per row
+        count."""
+        layers = self._chunks.get(rows)
+        if layers is not None:
+            return layers
+        size = max(1, _CHUNK_ENTRIES // rows)
+        rec_start = self.rec_start
+        owners = np.flatnonzero(rec_start[1:] != rec_start[:-1])
+        bounds = self.layer_bounds.tolist()
+        owner_bounds = np.searchsorted(owners, bounds).tolist()
+        layers = []
+        for lo, hi, pa, pb in zip(bounds[:-1], bounds[1:], owner_bounds[:-1], owner_bounds[1:]):
+            parents = owners[pa:pb]
+            chunks = []
+            if len(parents):
+                starts = np.r_[rec_start[parents], rec_start[hi]]
+                cuts = np.flatnonzero(np.diff((starts[:-1] - starts[0]) // size)) + 1
+                edges = [0, *cuts.tolist(), len(parents)]
+                chunks = [(int(starts[a]), int(starts[b]), parents[a:b], starts[a:b] - starts[a])
+                          for a, b in zip(edges[:-1], edges[1:])]
+            layers.append((lo, hi, chunks))
+        self._chunks[rows] = layers
+        return layers
 
     def pair_slot(self, sid, r1, r2):
         """Slot of the end cells r1, r2 of section sid, or None."""
@@ -370,8 +432,8 @@ class TableStats:
     reference pass walked, 0 in worklist mode.  relaxations counts the
     entries that end below INF and nonzero, which in worklist mode are the
     entries settled at a nonzero value, so both modes give the same count.
-    It is taken over every ignore-set plane of the colours on the board, not
-    only the canonical ones.
+    It is taken over every palette colour on every full plane (subset of
+    the board's colours), not only the canonical ones.
     """
 
     keys: int
@@ -449,23 +511,64 @@ def _section_masks(board, index, bits):
 class DPTable:
     """Solved table: values over the key space plus solve metadata."""
 
-    def __init__(self, board, index, mode, masks, bits, target, values, sweeps=0):
+    def __init__(self, board, index, mode, masks, bits, target, values, row_of, sweeps=0):
         self.board = board
         self.mode = mode
         self.target = target
         self._index = index
         self._masks = masks
         self._bits = bits.tolist()  # plane bit per palette colour
-        # The pass's own int16 array, (colour, ignore set, slot); _dense is
-        # the same values viewed as (slot, colour, ignore set).
+        # Table row per palette colour: its bit's position, -1 if absent.
+        self._row = [b.bit_length() - 1 for b in self._bits]
+        # The pass's own int16 array, (colour on the board, ignore set
+        # without that colour's bit, slot); row_of[j, J] is the plane of
+        # colour j that full plane J reads.
         self._values = values
-        self._dense = values.transpose(2, 0, 1)
+        self._row_of = row_of
         self._sweeps = sweeps
         self._entries = None
         self.value = None
         self.goal = None  # (slot, d) achieving the value
 
     # -- lookups ---------------------------------------------------------
+
+    def _read(self, slot, d, plane):
+        """Values of (slot, palette colour d, full plane): one entry for an
+        int slot and plane, (plane, slot) for slice(None) and an array of
+        planes.  A colour on the board reads its row at the plane without
+        its own bit (lemma "own bit"), an absent colour one more than the
+        least value over the board's colours (lemma "absent colours")."""
+        j = self._row[d]
+        if j >= 0:
+            if type(slot) is int:  # the common lookup, without array scalars
+                return self._values.item(j, self._row_of.item(j, plane), slot)
+            return self._values[j, self._row_of[j, plane], slot]
+        least = _least_over_colours(self._values[:, :, slot], self._row_of[:, plane])
+        return np.minimum(least + 1, INF)
+
+    def _colour_planes(self):
+        """Each palette colour's values on every full plane, (plane, slot),
+        expanded a colour at a time.  Absent colours share one array."""
+        planes = np.arange(self._row_of.shape[1])
+        absent = None
+        for d, j in enumerate(self._row):
+            if j >= 0:
+                yield self._read(slice(None), d, planes)
+                continue
+            if absent is None:
+                absent = self._read(slice(None), d, planes)
+            yield absent
+
+    @functools.cached_property
+    def _dense(self):
+        """The values as (slot, palette colour, full plane) over all 2^k
+        planes, expanded on first access, for tests and cross-checks.
+        Lookups and stats() go through _read instead."""
+        full = np.empty((len(self._row), self._row_of.shape[1], self._values.shape[2]),
+                        dtype=self._values.dtype)
+        for d, planes in enumerate(self._colour_planes()):
+            full[d] = planes
+        return full.transpose(2, 0, 1)
 
     def _plane(self, ignore, sid):
         """Plane of a palette ignore bitmask, canonical for section sid."""
@@ -477,14 +580,14 @@ class DPTable:
         slot, sid = self._slot_of_key(z)
         if not 0 <= z.d < len(self.board.palette):
             raise InputError(f"colour {z.d} outside the palette")
-        v = int(self._dense[slot, z.d, self._plane(z.ignore, sid)])
+        v = int(self._read(slot, z.d, self._plane(z.ignore, sid)))
         return float("inf") if v >= INF else v
 
     def _canonical(self):
         """canon[slot, plane]: the plane holds only colours of the slot's
-        section.  A transposed view, laid out like the table."""
+        section.  A transposed view, (full plane, slot) underneath."""
         # int32 holds every plane: the entry cap keeps 2^colours <= 2^25.
-        planes = np.arange(self._values.shape[1], dtype=np.int32)
+        planes = np.arange(self._row_of.shape[1], dtype=np.int32)
         slot_masks = self._masks[self._index.slot_sid].astype(np.int32)
         return ((planes[:, None] & ~slot_masks[None, :]) == 0).T
 
@@ -515,28 +618,23 @@ class DPTable:
         Returns ("zero",), ("recolour", child) or ("split", left, right),
         each child the (slot, colour, plane) of the entry the rule reads.
         """
-        v = int(self._dense[slot, d, mask])
+        v = int(self._read(slot, d, mask))
         if v >= INF:
             raise InputError("entry has no finite value")
         if v == 0:
             return ("zero",)
         index = self._index
-        c = len(self.board.palette)
-        m = int(self._masks[index.slot_sid[slot]])
-        child_mask = (mask | self._bits[d]) & m
-        for dp in range(c):
-            if int(self._dense[slot, dp, child_mask]) == v - 1:
+        masks, sids = self._masks, index.slot_sid
+        child_mask = (mask | self._bits[d]) & masks.item(sids.item(slot))
+        for dp in range(len(self._row)):
+            if int(self._read(slot, dp, child_mask)) == v - 1:
                 return ("recolour", (slot, dp, child_mask))
-        for i in range(index.rec_start[slot], index.rec_start[slot + 1]):
-            ls = int(index.rec_left[i])
-            rs = int(index.rec_right[i])
-            lm = int(self._masks[index.slot_sid[ls]])
-            rm = int(self._masks[index.slot_sid[rs]])
-            lv = int(self._dense[ls, d, mask & lm])
-            if lv > v:
-                continue
-            if lv + int(self._dense[rs, d, mask & rm]) == v:
-                return ("split", (ls, d, mask & lm), (rs, d, mask & rm))
+        for i in range(index.rec_start.item(slot), index.rec_start.item(slot + 1)):
+            ls, rs = index.rec_left.item(i), index.rec_right.item(i)
+            lm, rm = mask & masks.item(sids.item(ls)), mask & masks.item(sids.item(rs))
+            lv = int(self._read(ls, d, lm))
+            if lv <= v and lv + int(self._read(rs, d, rm)) == v:
+                return ("split", (ls, d, lm), (rs, d, rm))
         raise FlooditError("no relaxation rule reproduces the stored value")
 
     def _slot_of_key(self, z: ZKey):
@@ -579,16 +677,16 @@ class DPTable:
         goal = None
         for slot in _goal_slots(self.board, self._index):
             for d in range(c) if target is None else (target,):
-                v = int(self._dense[slot, d, 0])
+                v = int(self._read(slot, d, 0))
                 if v < best:
                     best = v
                     goal = (slot, d)
         return best, goal
 
     def stats(self) -> TableStats:
-        canon = self._canonical().T  # (ignore set, slot), like one colour's values
+        canon = self._canonical().T  # (full plane, slot), like one colour's values
         keys = zeros = max_value = relaxations = 0
-        for v in self._values:
+        for v in self._colour_planes():
             finite = v < INF
             zero = v == 0
             relaxations += np.count_nonzero(finite) - np.count_nonzero(zero)
@@ -609,11 +707,19 @@ def _goal_slots(board, index):
 
 
 def _dense_seeds(board, index, masks, bits):
-    """Zero seeds over the ignore-set planes, shape (colour, ignore set,
-    slot) with INF elsewhere, and the recolour map imap[d, I] = I + {d}."""
-    planes = 1 << np.count_nonzero(bits)
-    all_masks = np.arange(planes, dtype=np.int64)
-    t_init = np.full((len(bits), planes, len(index.slot_sid)), INF, dtype=np.int16)
+    """Zero seeds of the table, shape (colour on the board, ignore set
+    without that colour's bit, slot) with INF elsewhere, and the plane maps.
+    A full plane J is any subset of the k board colours; colour j's plane p
+    is the full plane expand[j, p], which lacks bit j.  Returns the seeds,
+    the recolour map imap[j, p] = expand[j, p] + {j} and row_of[j, J], J
+    without bit j, the plane of colour j that full plane J reads."""
+    k = int(np.count_nonzero(bits))
+    below = (1 << np.arange(k, dtype=np.intp))[:, None] - 1  # bits under bit j
+    full = np.arange(1 << k, dtype=np.intp)
+    row_of = (full & below) | ((full >> 1) & ~below)
+    compressed = full[: 1 << (k - 1)]
+    expand = (compressed & below) | ((compressed & ~below) << 1)
+    t_init = np.full((k, len(compressed), len(index.slot_sid)), INF, dtype=np.int16)
     # A listed path seeds its slot with colour d if every cell has colour d.
     # A slot may have several such paths, all with its r1 cell's colour.
     colours = np.ravel(board.cells)[index.seed_cells]
@@ -622,72 +728,77 @@ def _dense_seeds(board, index, masks, bits):
     seed_d[index.seed_slot[mono]] = colours[mono, 0]
     slots = np.flatnonzero(seed_d >= 0)
     d = seed_d[slots]
+    j = (np.cumsum(bits > 0) - 1)[d]
     # Seed every plane that holds the section's colours other than d.
     base = masks[index.slot_sid[slots]] & ~bits[d]
-    hit, plane = np.nonzero((all_masks[None, :] & base[:, None]) == base[:, None])
-    t_init[d[hit], plane, slots[hit]] = 0
-    imap = all_masks[None, :] | bits[:, None]
-    return t_init, imap
+    hit, plane = np.nonzero((expand[j] & base[:, None]) == base[:, None])
+    t_init[j[hit], plane, slots[hit]] = 0
+    return t_init, expand | (below + 1), row_of
 
 
-def _solve_dense(board, index, masks, bits, deadline):
-    """One relaxation pass in structural order over the ignore-set planes.
+def _least_over_colours(t, row_of):
+    """The least value over the table's colours, W(J) = min_j t[j, row_of[j,
+    J]], gathered a colour at a time: (2^k, slots) for a whole table and
+    map, one value for one slot's column and one plane's map column."""
+    low = t[0][row_of[0]]
+    for row, planes in zip(t[1:], row_of[1:]):
+        low = np.minimum(low, row[planes])
+    return low
+
+
+def _lower_by_splits(flat, left, right, parents, starts):
+    """The split rule over one run of records grouped by parent: gather and
+    add the children's table columns, take each parent's least sum (starts:
+    its first record in the run) and lower the parent's column to it.
+    Returns the parents' columns before and after."""
+    sums = np.take(flat, left, axis=1)
+    sums += np.take(flat, right, axis=1)
+    new = np.minimum.reduceat(sums, starts, axis=1)
+    old = flat[:, parents]
+    np.minimum(old, new, out=new)
+    flat[:, parents] = new
+    return old, new
+
+
+def _solve_dense(t, imap, row_of, index, deadline):
+    """One relaxation pass in structural order over the table t of
+    _dense_seeds, in place.
 
     Layers are walked by increasing cell count.  Within a layer the split
     rule reads only earlier layers, which are final.  Let B(J) be the
-    layer's least value over colours on plane J after the splits, and W(J)
-    the same after the recolour rule: W(J) = min(B(J), 1 + min W(J + b))
-    over plane bits b not in J (a bit in J, or an absent colour's bit 0,
-    only offers W(J) + 1).  Unrolled, W(J) is the least B(K) + |K - J| over
-    supersets K of J, one pass W(J) <= W(J + b) + 1 per bit.  Then every
-    entry takes v(d, I) <= 1 + W(I + {d}), the same-plane case d in I too.
+    layer's least value over the board's colours on full plane J after the
+    splits, and W(J) the same after the recolour rule: W(J) = min(B(J), 1 +
+    min W(J + b)) over plane bits b not in J.  Unrolled, W(J) is the least
+    B(K) + |K - J| over supersets K of J, one pass W(J) <= W(J + b) + 1 per
+    bit.  Then colour j's row on plane I takes 1 + W(I + {j}).
 
-    Returns the table, shape (colour, ignore set, slot) with INF where no
-    rule reaches, and the number of layers.
+    Returns the number of layers.
     """
     # Planes-major, (colour, ignore set, slot): a split chunk gathers and
     # min-reduces contiguous runs per plane.  A layer is a slot range and its
     # split records one run.
-    t, imap = _dense_seeds(board, index, masks, bits)
-    c, planes = t.shape[:2]
-    flat = t.reshape(c * planes, -1)
-    rec_start, left, right = index.rec_start, index.rec_left, index.rec_right
-    layer_bounds = index.layer_bounds.tolist()
-    # The slots that own split records, cut per layer.
-    owners = np.flatnonzero(rec_start[1:] != rec_start[:-1])
-    owner_bounds = np.searchsorted(owners, layer_bounds).tolist()
-    plane_bits = [1 << j for j in range(planes.bit_length() - 1)]
-
-    max_chunk_records = max(1, _CHUNK_ENTRIES // (c * planes))
-    for lo, hi, pa, pb in zip(layer_bounds[:-1], layer_bounds[1:],
-                              owner_bounds[:-1], owner_bounds[1:]):
+    k, h, _ = t.shape
+    flat = t.reshape(k * h, -1)
+    left, right = index.rec_left, index.rec_right
+    layers = index.layer_chunks(k * h)
+    for lo, hi, chunks in layers:
         _check_deadline(deadline)
-        parents = owners[pa:pb]
-        if len(parents):
-            # Chunk the split records on parent boundaries to bound memory.
-            starts = np.r_[rec_start[parents], rec_start[hi]]
-            cuts = np.flatnonzero(np.diff((starts[:-1] - starts[0]) // max_chunk_records))
-            bounds = [0, *(cuts + 1).tolist(), len(parents)]
-            for ga, gb in zip(bounds[:-1], bounds[1:]):
-                _check_deadline(deadline)
-                rlo, rhi = int(starts[ga]), int(starts[gb])
-                sums = np.take(flat, left[rlo:rhi], axis=1)
-                sums += np.take(flat, right[rlo:rhi], axis=1)
-                group = parents[ga:gb]
-                flat[:, group] = np.minimum(
-                    flat[:, group], np.minimum.reduceat(sums, starts[ga:gb] - rlo, axis=1))
+        for rlo, rhi, parents, starts in chunks:
+            _check_deadline(deadline)
+            _lower_by_splits(flat, left[rlo:rhi], right[rlo:rhi], parents, starts)
         run = t[:, :, lo:hi]
-        low = run.min(axis=0)  # W, (ignore set, slot)
-        for b in plane_bits:
-            pair = low.reshape(planes // (2 * b), 2, b, hi - lo)
+        low = _least_over_colours(run, row_of)  # W, (full plane, slot)
+        for j in range(k):
+            pair = low.reshape(len(low) >> (j + 1), 2, 1 << j, hi - lo)
             np.minimum(pair[:, 0], pair[:, 1] + 1, out=pair[:, 0])
-        np.minimum(run, low[imap] + 1, out=run)
-    return t, len(layer_bounds) - 1
+        low += 1
+        np.minimum(run, low[imap], out=run)
+    return len(layers)
 
 
-def _solve_buckets(board, index, masks, bits, deadline):
-    """Bucketed label-setting pass (Dial's algorithm) over the ignore-set
-    planes.
+def _solve_buckets(best, imap, row_of, index, deadline):
+    """Bucketed label-setting pass (Dial's algorithm) over the table best of
+    _dense_seeds, in place.
 
     Settles entries bucket by bucket in value order 0, 1, 2, ...: once
     bucket k is done, every entry whose value is at most k is final, so
@@ -704,13 +815,9 @@ def _solve_buckets(board, index, masks, bits, deadline):
     a child settled in it and the other in a slot with settled entries but
     no zero (zero rounds offered the rest with their final values for the
     bucket), and the recolour rule, both for later buckets.
-
-    Returns the table, shape (colour, ignore set, slot) with INF where no
-    rule reaches.
     """
     # The table is planes-major, (colour, ignore set, slot), so that a split
     # record gathers and min-reduces contiguous runs per plane.
-    best, imap = _dense_seeds(board, index, masks, bits)
     flat_best = best.reshape(-1, best.shape[2])
     rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
     chunk_records = max(1, _CHUNK_ENTRIES // len(flat_best))
@@ -722,15 +829,12 @@ def _solve_buckets(board, index, masks, bits, deadline):
         for lo in range(0, len(recs), chunk_records):
             _check_deadline(deadline)
             chunk = recs[lo:lo + chunk_records]
-            sums = np.take(flat_best, rec_left[chunk], axis=1)
-            sums += np.take(flat_best, rec_right[chunk], axis=1)
             parents = np.searchsorted(rec_start, chunk, side="right") - 1
             starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
             parents = parents[starts]
-            offer = np.minimum.reduceat(sums, starts, axis=1)
-            old = flat_best[:, parents]
-            dropped[parents] |= ((offer < old) & (offer == k)).any(axis=0)
-            flat_best[:, parents] = np.minimum(old, offer)
+            old, new = _lower_by_splits(flat_best, rec_left[chunk], rec_right[chunk],
+                                        parents, starts)
+            dropped[parents] |= ((new == k) & (old > k)).any(axis=0)
         return dropped
 
     def touching(recs, new_slots, partner_slots):
@@ -762,10 +866,10 @@ def _solve_buckets(board, index, masks, bits, deadline):
             zero_recs = np.flatnonzero(has_zero[rec_left] | has_zero[rec_right])
         else:
             offer_splits(touching(None, in_bucket, has_settled & ~has_zero), k)
-        low = best.min(axis=0) + 1
-        for d, row in enumerate(best):  # a colour at a time: no table-sized gather
-            np.minimum(row, low[imap[d]], out=row)
-    return best
+        low = _least_over_colours(best, row_of)
+        low += 1
+        for row, planes in zip(best, imap):  # a colour at a time: no table-sized gather
+            np.minimum(row, low[planes], out=row)
 
 
 def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference",
@@ -786,11 +890,13 @@ def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference"
             f"key space too large: {entries:,} table entries, cap {_TABLE_ENTRY_CAP:,}; "
             "use fewer colours or a narrower board")
     masks = _section_masks(board, index, bits)
+    values, imap, row_of = _dense_seeds(board, index, masks, bits)
     if mode == "reference":
-        values, sweeps = _solve_dense(board, index, masks, bits, deadline)
+        sweeps = _solve_dense(values, imap, row_of, index, deadline)
     else:
-        values, sweeps = _solve_buckets(board, index, masks, bits, deadline), 0
-    table = DPTable(board, index, mode, masks, bits, target, values, sweeps)
+        _solve_buckets(values, imap, row_of, index, deadline)
+        sweeps = 0
+    table = DPTable(board, index, mode, masks, bits, target, values, row_of, sweeps)
 
     best, goal = table.board_value(target)
     if best >= INF:

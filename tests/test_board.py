@@ -1,6 +1,9 @@
 import itertools
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodit.board import (
     Board2xN,
@@ -36,6 +39,25 @@ def test_serialize_round_trip():
     b = parse_board(text)
     assert serialize_board(b) == text
     assert parse_board(serialize_board(b)) == b
+
+
+@st.composite
+def token_rows(draw):
+    n = draw(st.integers(1, 8))
+    tokens = draw(st.lists(st.text(string.ascii_letters + string.digits, min_size=1, max_size=3),
+                           min_size=1, max_size=5, unique=True))
+    cells = draw(st.lists(st.sampled_from(tokens), min_size=2 * n, max_size=2 * n))
+    return cells[:n], cells[n:]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(rows=token_rows())
+def test_serialize_parse_round_trip_property(rows):
+    top, bottom = rows
+    text = f"{len(top)}\n{' '.join(top)}\n{' '.join(bottom)}\n"
+    board = parse_board(text)
+    assert serialize_board(board) == text
+    assert parse_board(serialize_board(board)) == board
 
 
 def test_parse_ragged_row_fails_with_line():

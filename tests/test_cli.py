@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 
@@ -70,6 +72,22 @@ def test_solve_target_token(tmp_path, capsys):
     assert main(["solve", board, "--target", "b", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 2
+
+
+def test_solve_time_budget_exits_3_promptly(tmp_path, capsys):
+    from floodit import gen
+    from floodit.board import serialize_board
+
+    text = serialize_board(gen.random_board(random.Random(41), 40, 4))
+    board = write(tmp_path / "b.txt", text)
+    start = time.monotonic()
+    assert main(["solve", board, "--method", "dp", "--time-budget", "0.01"]) == 3
+    assert time.monotonic() - start < 1.0
+    assert "time budget exhausted" in capsys.readouterr().err
+    assert main(["solve", board, "--time-budget", "0"]) == 1
+    small = write(tmp_path / "s.txt", "2\na b\nb a\n")
+    assert main(["solve", small, "--method", "dp", "--time-budget", "60"]) == 0
+    assert "value 2" in capsys.readouterr().out
 
 
 def test_solve_parse_error_exit_2(tmp_path, capsys):

@@ -340,13 +340,13 @@ def test_time_budget_is_honoured_promptly():
 @pytest.mark.parametrize("mode", ["reference", "worklist"])
 def test_pass_time_budget_is_honoured_promptly(mode):
     # The index for this width is built first, so the budget runs out inside
-    # the pass itself: the structural-order pass takes about 0.8 s here, the
-    # bucketed pass about 2.6 s.
+    # the pass itself: the structural-order pass takes about 0.4-0.5 s here,
+    # the bucketed pass about 2 s.
     board = random_board(random.Random(40), 40, 4)
     dp2xn._get_index(board.n)
     start = time.monotonic()
     with pytest.raises(BudgetExceededError):
-        solve(board, mode=mode, time_budget=0.3)
+        solve(board, mode=mode, time_budget=0.1)
     assert time.monotonic() - start < 1.3
 
 
@@ -363,6 +363,9 @@ def test_reference_table_equals_bucketed_worklist():
 def test_tables_are_the_least_fixed_point_of_the_rules():
     # One application of every rule to the finished table, on every plane:
     # the split rule over each record, the recolour rule, and the seeds.
+    # The table stores each board colour without its own plane bit and no
+    # absent colours, so the rules run on its expansion to every palette
+    # colour and every subset of the board's colours.
     # The table must equal min(seeds, rules(table)) entry by entry.  No
     # zero-cost cycle exists (a recolour adds 1, and a 0 + v split reads
     # sections with fewer cells), so only the least fixed point passes.
@@ -377,12 +380,25 @@ def test_tables_are_the_least_fixed_point_of_the_rules():
         Board2xN(5, ((6, 0, 3, 6, 2), (2, 6, 0, 3, 3)), colour_tokens(8)),
     ]
     for board in boards:
+        bits = dp2xn._plane_bits(board)
+        present = np.flatnonzero(bits).tolist()  # palette colour per plane bit
+        k = len(present)
+        # Colour j's stored plane for each full plane: the full plane
+        # without bit j.
+        planes = [[sum((plane >> i & 1) << (i - (i > j)) for i in range(k) if i != j)
+                   for plane in range(1 << k)] for j in range(k)]
         for mode in ("reference", "worklist"):
             _, table = solve(board, mode=mode)
             index = table._index
-            values = table._values.astype(np.int64)  # (colour, ignore set, slot)
-            seeds, imap = dp2xn._dense_seeds(board, index, table._masks,
-                                             dp2xn._plane_bits(board))
+            assert table._values.dtype == np.int16
+            assert table._values.shape == (k, 1 << (k - 1), len(index.slot_sid))
+            # Every palette colour on every full plane, (colour, plane, slot).
+            values = table._dense.transpose(1, 2, 0).astype(np.int64)
+            seeds = np.full(values.shape, dp2xn.INF, dtype=np.int64)
+            stored = dp2xn._dense_seeds(board, index, table._masks, bits)[0]
+            for j, d in enumerate(present):
+                seeds[d] = stored[j][planes[j]]
+            imap = np.arange(1 << k)[None, :] | bits[:, None]  # I + {d}
             rules = np.minimum(seeds, values.min(axis=0)[imap] + 1)
             sums = values[:, :, index.rec_left] + values[:, :, index.rec_right]
             for slot in range(len(index.slot_sid)):

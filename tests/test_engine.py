@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodit.engine import (
     ColouredGraph,
@@ -111,6 +113,33 @@ def test_apply_move_never_splits_components():
         after = mono_components(out)
         for block in before:
             assert any(set(block) <= set(nb) for nb in after)
+
+
+@st.composite
+def graphs_and_moves(draw):
+    n = draw(st.integers(1, 8))
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):  # a random spanning tree, then extra edges
+        u = draw(st.integers(0, v - 1))
+        adj[u].add(v)
+        adj[v].add(u)
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n)):
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    colouring = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    g = ColouredGraph([sorted(a) for a in adj], colouring, ("a", "b", "c"))
+    return g, Move(draw(st.integers(0, n - 1)), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(case=graphs_and_moves())
+def test_apply_move_never_splits_a_component_property(case):
+    g, move = case
+    after = [set(block) for block in mono_components(apply_move(g, move))]
+    for block in mono_components(g):
+        assert any(set(block) <= other for other in after), (g, move)
 
 
 def test_replay_empty_sequences():

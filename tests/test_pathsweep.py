@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from floodit.pathsweep import path_exists, path_exists_bruteforce
 
 
@@ -88,3 +91,33 @@ def test_wide_sections_against_bruteforce():
         assert path_exists((t1, t2), (bb1, bb2), r1, r2) == path_exists_bruteforce(
             (t1, t2), (bb1, bb2), r1, r2
         )
+
+
+@st.composite
+def shapes_and_predicates(draw):
+    t1 = draw(st.integers(0, 5))
+    t2 = draw(st.integers(t1, 5))
+    bb1 = draw(st.integers(0, 5))
+    bb2 = draw(st.integers(bb1, 5))
+    cells = all_cells((t1, t2), (bb1, bb2))
+    assume(cells)
+    colours = dict(zip(cells, draw(st.lists(st.integers(0, 2), min_size=len(cells),
+                                            max_size=len(cells)))))
+    r1, r2 = draw(st.sampled_from(cells)), draw(st.sampled_from(cells))
+    return (t1, t2), (bb1, bb2), r1, r2, colours, draw(st.integers(0, 2)), draw(st.integers(0, 7))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=shapes_and_predicates())
+def test_path_exists_equals_bruteforce_property(case):
+    top, bottom, r1, r2, colours, d, mask = case
+
+    def on_ok(row, col):
+        return colours[(row, col)] == d
+
+    def off_ok(row, col):
+        return colours[(row, col)] == d or mask >> colours[(row, col)] & 1 == 1
+
+    assert path_exists(top, bottom, r1, r2) == path_exists_bruteforce(top, bottom, r1, r2)
+    assert (path_exists(top, bottom, r1, r2, on_ok, off_ok)
+            == path_exists_bruteforce(top, bottom, r1, r2, on_ok, off_ok))
