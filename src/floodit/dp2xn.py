@@ -95,6 +95,35 @@ The bound is tight: a 2x2 section with both end cells in one column has a
 U-shaped zero path that crosses every boundary twice.  The seeded tables are
 checked entry by entry against zero_test in tests/test_dp2xn.py.
 
+Lemma (wide sections).  On a section of seven or more cells, every pair of
+end cells is a slot: some simple r1-r2 path dominates the section.  So the
+index lists dominating paths only on narrower sections.  Proof.  Let the
+borders be (t1, b1) and (t2, b2), r1 = (a, c1) and r2 = (b, c2).
+  1. Low skew makes r1 the first cell of row a and r2 the last of row b.
+     Call a column full if both its cells lie in the section: columns
+     max(t1, b1) to min(t2, b2) - 1, F of them.  The section has
+     (t2 - t1) + (b2 - b1) = 2F + |t1 - b1| + |t2 - b2| <= 2F + 2 cells, so
+     seven or more give F >= 3.  So column m = max(t1, b1) + 1 is full, and
+     c1 <= m - 1 while c2 >= min(t2, b2) - 1 = max(t1, b1) + F - 1 >= m + 1.
+  2. The path: from r1, step first to (1 - a, c1) if row 1 - a has a cell
+     left of column c1 (a hook); run along the row to column m; change
+     rows there if needed; run on to column c2 and end with the mirror
+     hook into r2 if row 1 - b has a cell right of column c2.  Rows are
+     intervals and column m is full, so every cell lies in the section.
+     The path moves right but for its vertical steps, at most one in each
+     of the columns c1 < m < c2, so it is simple.
+  3. It dominates.  Every column from c1 to c2 holds a path cell, next to
+     the column's other cell.  Row a starts at c1 and row 1 - a at c1 - 1
+     or later, so the only cell left of c1 is (1 - a, c1 - 1), present
+     just when the hook is, and next to the hook's (1 - a, c1).  Likewise
+     right of c2.
+The bound is tight: between borders (0, 1) and (3, 4), six cells, take r1 =
+(1, 1) and r2 = (0, 2).  The only neighbours of (0, 0) and (1, 3), (0, 1)
+and (1, 2), must lie on the path.  Off (0, 0), (0, 1) has only r1 and r2
+for path neighbours, so the path is r1, (0, 1), r2 and misses (1, 2).
+tests/test_dp2xn.py checks every shape of seven or more cells up to width
+60, and this example, against tree_exists.
+
 One table store serves every palette.  A full plane is a subset of the k
 colours that occur on the board, one bit each in palette order.  Keys name
 ignore sets as palette bitmasks canonicalised to the colours present in the
@@ -177,6 +206,10 @@ INF = (1 << 14) - 1
 # the threshold, not a margin: with 3 some tables change (board values hold),
 # with 1 board values change.
 _SEED_CELLS = 4
+# Every pair of end cells is a slot on a section of at least this many cells
+# (lemma "wide sections"); narrower sections list their dominating paths.
+# The lemma fixes the bound: some 6-cell pairs have no slot.
+_WIDE_CELLS = 7
 # Table entries (slots x palette x 2^k, k colours on the board) a solve
 # accepts.  The table stores k x 2^(k-1) x slots of them, half or fewer,
 # int16.  Over the 30 MB a process holds before the solve, a solve peaks at
@@ -205,7 +238,10 @@ class _SectionIndex:
     """Board-independent numbering for one board width: the sections between
     low-skew borders, their attachment pairs admitting a path-dominated
     spanning tree (slots), the split records (parent, left, right slot) and
-    the dominating paths that seed zeros on small sections.
+    the dominating paths that seed zeros on small sections.  On a section
+    of _WIDE_CELLS or more cells every pair of end cells is a slot (lemma
+    "wide sections"); a narrower section keeps the pairs that have a
+    dominating path, listed once per translated shape.
 
     Between borders of skew at most one, a section has at most one end cell
     per row at each border, so a slot is named by its section and the rows
@@ -244,52 +280,57 @@ class _SectionIndex:
         self.cells = geo.in_section(bt3[sec_i], bb3[sec_i], bt3[sec_j], bb3[sec_j], rows, cols)
         self.ends = (np.stack([after[sec_i], before[sec_j]], axis=1)
                      & self.cells[:, None]).dot(np.arange(1, n + 1)) - 1
-        slot_sid, slot_ends = [], []  # end cells as vertex ids row * n + col
-        slot_of = np.full((len(self.geoms) + 1, 2, 2), -1, dtype=np.int32)
-        # Zero-seed candidates: every dominating simple r1-r2 path of each
-        # slot whose section has at most _SEED_CELLS cells.  seed_cells[p]
-        # holds path p's cells as flat indices row * n + col, r1 first and
-        # padded with r1; seed_slot[p] is its slot.
-        seed_cells, seed_slot = [], []
-        # Paths are translation invariant: test or list each shape once.
-        shapes = {}
         # Slots are numbered in layer order, by their section's cell count.
         # A split's children have fewer cells than its parent, so slot order
         # is structural order.
         sizes = self.cells.sum(axis=(1, 2))
         by_size = np.argsort(sizes, kind="stable")
-        for sid, size in zip(by_size.tolist(), sizes[by_size].tolist()):
+        # is_slot[sid, a, b]: rows a and b have end cells, the slot's r1 and
+        # r2.  Every such pair is a slot on a wide section (lemma "wide
+        # sections"); a narrow one keeps only the pairs that have a
+        # dominating path.
+        is_slot = (self.ends[:, 0, :, None] >= 0) & (self.ends[:, 1, None, :] >= 0)
+        narrow = by_size[:np.searchsorted(sizes[by_size], _WIDE_CELLS)].tolist()
+        # Zero-seed candidates: every dominating simple r1-r2 path of each
+        # slot whose section has at most _SEED_CELLS cells.  seed_cells[p]
+        # holds path p's cells as flat indices row * n + col, r1 first and
+        # padded with r1; seed_slot[p] is its slot, named (sid, a, b) by
+        # seed_at[p] until the slots are numbered.
+        seed_cells, seed_at = [], []
+        # Paths are translation invariant: list each shape's paths once.
+        shapes = {}
+        for i, a, b in np.argwhere(is_slot[narrow]).tolist():
             _check_deadline(deadline)
+            sid = narrow[i]
             t1, bb1, t2, bb2 = self.geoms[sid]
-            lcols, rcols = self.ends[sid].tolist()
             o = min(t1, bb1)
-            small = size <= _SEED_CELLS
-            rights = [(b, col - o) for b, col in enumerate(rcols) if col >= 0]
-            for r1 in [(a, col - o) for a, col in enumerate(lcols) if col >= 0]:
-                for r2 in rights:
-                    key = (t1 - o, bb1 - o, t2 - o, bb2 - o, *r1, *r2)
-                    found = shapes.get(key)
-                    if found is None:
-                        shape = ((t1 - o, t2 - o), (bb1 - o, bb2 - o), r1, r2)
-                        found = shapes[key] = (list(pathsweep.dominating_paths(*shape))
-                                               if small else pathsweep.path_exists(*shape))
-                    if not found:
-                        continue
-                    slot_of[sid, r1[0], r2[0]] = len(slot_sid)
-                    if small:
-                        for path in found:
-                            flat = [row * n + col + o for row, col in path]
-                            seed_cells.append(flat + flat[:1] * (_SEED_CELLS - len(flat)))
-                            seed_slot.append(len(slot_sid))
-                    slot_sid.append(sid)
-                    slot_ends.append((r1[0] * n + r1[1] + o, r2[0] * n + r2[1] + o))
-        self.slot_of = slot_of
-        self.slot_sid = np.array(slot_sid, dtype=np.int64)
-        self.slot_ends = np.array(slot_ends, dtype=np.int32).reshape(-1, 2)
+            r1, r2 = (a, self.ends.item(sid, 0, a) - o), (b, self.ends.item(sid, 1, b) - o)
+            key = ((t1 - o, t2 - o), (bb1 - o, bb2 - o), r1, r2)
+            small = sizes.item(sid) <= _SEED_CELLS
+            found = shapes.get(key)
+            if found is None:
+                paths = pathsweep.dominating_paths(*key)
+                # Above the seed size the first path decides the slot.
+                found = shapes[key] = list(paths) if small else any(paths)
+            if not found:
+                is_slot[sid, a, b] = False
+            elif small:
+                for path in found:
+                    flat = [row * n + col + o for row, col in path]
+                    seed_cells.append(flat + flat[:1] * (_SEED_CELLS - len(flat)))
+                    seed_at.append((sid, a, b))
+        order, a, b = np.nonzero(is_slot[by_size])
+        self.slot_sid = by_size[order]
+        self.slot_of = np.full((len(self.geoms) + 1, 2, 2), -1, dtype=np.int32)
+        self.slot_of[self.slot_sid, a, b] = np.arange(len(order))
+        # End cells as vertex ids row * n + col.
+        end_rows = np.stack([a, b], axis=1)
+        end_cols = self.ends[self.slot_sid[:, None], [0, 1], end_rows]
+        self.slot_ends = (end_rows * n + end_cols).astype(np.int32)
         steps = np.flatnonzero(np.diff(sizes[self.slot_sid])) + 1
-        self.layer_bounds = np.r_[0, steps, len(slot_sid)]
+        self.layer_bounds = np.r_[0, steps, len(order)]
         self.seed_cells = np.array(seed_cells, dtype=np.intp).reshape(-1, _SEED_CELLS)
-        self.seed_slot = np.array(seed_slot, dtype=np.intp)
+        self.seed_slot = self.slot_of[tuple(np.reshape(seed_at, (-1, 3)).T)].astype(np.intp)
         self._build_records(bt, bb, deadline)
         self._chunks = {}  # layer_chunks by row count
 

@@ -5,14 +5,16 @@ row), is there a simple path from r1 to r2 such that every cell not on the
 path is adjacent to a path cell?  Optional per-cell predicates restrict which
 cells may lie on the path (`on_ok`) and which may be left off it (`off_ok`).
 
-The sweep decides whether the 2xN dynamic program's section index gets a
-slot: a spanning tree whose non-leaf vertices all lie on the r1-r2 path
-exists (predicates absent).  The predicates serve only dp2xn.zero_test, the
-definition of a zero entry (path cells must have the target colour, off
-cells a permitted one); solves do not call the sweep.  dominating_paths
-lists the paths themselves: the index takes the zero-seed paths of its
-small sections from it, and path_exists_bruteforce, the sweep's reference
-in the tests, tests the predicates on each of them.
+The sweep decides the 2xN dynamic program's two definitions that the tests
+check its section index and tables against: dp2xn.tree_exists, whether an
+end pair is a slot (a spanning tree whose non-leaf vertices all lie on the
+r1-r2 path exists; predicates absent), and dp2xn.zero_test, whether an
+entry is zero (path cells must have the target colour, off cells a
+permitted one).  Index builds and solves do not call it.  dominating_paths
+lists the paths themselves: the index decides the slots of its sections
+below seven cells from it and takes the zero-seed paths of the smallest
+ones, and path_exists_bruteforce, the sweep's reference in the tests, tests
+the predicates on each of them.
 
 The sweep runs a small automaton over columns.  State per column boundary:
 

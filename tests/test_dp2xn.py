@@ -16,6 +16,7 @@ from floodit.board import (
     incident_vertices,
     is_section,
     low_skew_borders,
+    section_vertices,
     to_graph,
 )
 from floodit.engine import replay
@@ -91,6 +92,33 @@ def test_tree_exists_matches_bruteforce_on_all_2x3_sections():
                     got = tree_exists(b, b1, b2, r1, r2)
                     want = tree_exists_bruteforce(b, b1, b2, r1, r2)
                     assert got == want, (b1, b2, r1, r2)
+
+
+def test_every_end_pair_of_a_wide_section_is_a_slot():
+    # Lemma "wide sections", checked against the path sweep: left borders
+    # with min(t, b) = 0 give each translated low-skew shape once, and width
+    # 60 holds every shape of the narrower boards.
+    n = 60
+    board = Board2xN(n, ((0,) * n, (0,) * n), ("a",))
+    borders = low_skew_borders(n)
+    shapes = pairs = 0
+    for b1 in [b for b in borders if min(b) == 0]:
+        for b2 in borders:
+            if not (border_leq(b1, b2) and is_section(board, b1, b2)):
+                continue
+            if len(section_vertices(board, b1, b2)) < dp2xn._WIDE_CELLS:
+                continue
+            shapes += 1
+            for r1 in incident_vertices(board, b1, "right", within=(b1, b2)):
+                for r2 in incident_vertices(board, b2, "left", within=(b1, b2)):
+                    assert tree_exists(board, b1, b2, r1, r2), (b1, b2, r1, r2)
+                    pairs += 1
+    assert (shapes, pairs) == (509, 2036)
+    # The bound is tight: a section of one cell fewer with an end pair that
+    # has no dominating path.
+    b1, b2 = Border(0, 1), Border(3, 4)
+    assert len(section_vertices(board, b1, b2)) == dp2xn._WIDE_CELLS - 1
+    assert not tree_exists(board, b1, b2, board.vertex(1, 1), board.vertex(0, 2))
 
 
 def test_tree_exists_rejects_outside_vertices():
@@ -171,6 +199,17 @@ def test_solve_does_not_search_paths_once_the_index_is_built(monkeypatch):
     monkeypatch.setattr(dp2xn.pathsweep, "dominating_paths", refuse)
     for mode in ("reference", "worklist"):
         solve(board, mode=mode)
+
+
+def test_index_build_does_not_search_paths(monkeypatch):
+    # Wide sections take every end pair as a slot and narrow ones list
+    # their dominating paths; no index build runs the path sweep.
+    def refuse(*args, **kwargs):
+        raise AssertionError("path search during an index build")
+
+    monkeypatch.setattr(dp2xn.pathsweep, "path_exists", refuse)
+    for n in range(1, 9):
+        dp2xn._SectionIndex(n)
 
 
 def test_zero_matches_stored_zeros():
@@ -327,21 +366,24 @@ def test_mode_agreement_random_boards():
         assert tr.entries() == tw.entries()
 
 
-def test_time_budget_is_honoured_promptly():
-    # No other test solves a 2x50 board, so the budget runs out while the
-    # section index for that width is still being built.
+def test_time_budget_is_honoured_promptly(monkeypatch):
+    # With an empty index cache the budget runs out while the section index
+    # for this width is still being built (about 0.4 s), and the unfinished
+    # index is not cached.
+    monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
     board = random_board(random.Random(50), 50, 4)
     start = time.monotonic()
     with pytest.raises(BudgetExceededError):
-        solve(board, mode="worklist", time_budget=0.5)
+        solve(board, mode="worklist", time_budget=0.1)
     assert time.monotonic() - start < 1.5
+    assert board.n not in dp2xn._INDEX_CACHE
 
 
 @pytest.mark.parametrize("mode", ["reference", "worklist"])
 def test_pass_time_budget_is_honoured_promptly(mode):
     # The index for this width is built first, so the budget runs out inside
-    # the pass itself: the structural-order pass takes about 0.4-0.5 s here,
-    # the bucketed pass about 2 s.
+    # the pass itself: the structural-order pass takes about 0.3 s here, the
+    # bucketed pass about 1.5 s.
     board = random_board(random.Random(40), 40, 4)
     dp2xn._get_index(board.n)
     start = time.monotonic()
