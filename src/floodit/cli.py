@@ -227,8 +227,11 @@ def _cmd_verify(args) -> int:
         for _ in range(count):
             board = gen.random_board(rng, n, colours)
             value, table = dp2xn.solve(board)
+            vwl, twl = dp2xn.solve(board, mode="worklist")
             exact = oracle.min_moves(to_graph(board))
-            if not exact.is_exact or exact.value != value:
+            # Both tables come from the same index: equal arrays, equal entries.
+            if (not exact.is_exact or exact.value != value or vwl != value
+                    or not np.array_equal(table._dense, twl._dense)):
                 ok = False
                 break
             moves = dp2xn.reconstruct(table)

@@ -170,7 +170,11 @@ upwards, applies the split rule from the final earlier ones, then closes the
 recolour rule with one min-plus subset transform over the ignore sets, a
 pass per plane bit (Bjorklund et al., "Fourier meets Mobius", STOC 2007).
 "worklist" is Dial's bucketed label-setting pass over the same table, which
-settles entries in value order, an independent cross-check.
+settles entries in value order, an independent cross-check.  It has one kind
+of round: the slots where an entry reached the current bucket offer the split
+records that list one of them as a child and have both children settled.
+The index builds those per-child record lists on first use, for worklist
+solves only.
 
 The table is the int16 array both passes relax, planes-major (colour on the
 board, ignore set without its bit, slot); INF = 2^14 - 1 marks an entry no
@@ -212,18 +216,19 @@ _SEED_CELLS = 4
 _WIDE_CELLS = 7
 # Table entries (slots x palette x 2^k, k colours on the board) a solve
 # accepts.  The table stores k x 2^(k-1) x slots of them, half or fewer,
-# int16.  Over the 30 MB a process holds before the solve, a solve peaks at
-# about 5.0 B per stored entry in reference mode (the table and the pass's
-# per-layer temporaries) and 5.3 B in worklist mode (the table and
-# full-table boolean temporaries per bucket).  Measured on a 2x10 board
-# with 11 colours (16.6M stored entries, fresh processes): 113 MB and 117 MB
-# peak RSS, 3.6 and 3.7 B per counted entry with a palette of 11 (33.3M), 2.3
-# and 2.4 B with a palette of 16 (48.4M).  So the cap keeps a solve under
-# about 200 MB.
+# int16.  Over the 28 MB a process holds before the solve, a solve peaks at
+# about 5.1 B per stored entry in reference mode (the table and the pass's
+# per-layer temporaries) and 4.1-4.4 B in worklist mode (the table, the
+# per-child record lists and one offer's split sums).  Measured on a 2x10
+# board with 11 colours (16.6M stored entries, fresh processes): 112 MB and
+# 96-101 MB peak RSS, 3.4 and 2.9-3.0 B per counted entry with a palette of
+# 11 (33.3M), 2.3 and 2.0-2.1 B with a palette of 16 (48.4M).  So the cap
+# keeps a solve under about 200 MB.
 _TABLE_ENTRY_CAP = 50_000_000
 # Split records a section index may hold.  The index keeps 8 B per record
-# (two int32 child slots), so the cap keeps it under 1 GB.  The
-# 2x60 index holds 9.26M records.
+# (two int32 child slots) and its child lists 8 B more, so the cap keeps it
+# under 1 GB, 2 GB with the lists, and their places within int32.  The 2x60
+# index holds 9.26M records.
 _RECORD_CAP = 125_000_000
 # Entries one chunk of split sums may gather: 16 MB of int16.
 _CHUNK_ENTRIES = 1 << 23
@@ -333,6 +338,7 @@ class _SectionIndex:
         self.seed_slot = self.slot_of[tuple(np.reshape(seed_at, (-1, 3)).T)].astype(np.intp)
         self._build_records(bt, bb, deadline)
         self._chunks = {}  # layer_chunks by row count
+        self._children = None  # child_records
 
     def layer_chunks(self, rows):
         """Per layer, (lo, hi, chunks): its slot range lo:hi and its split
@@ -375,9 +381,9 @@ class _SectionIndex:
         """Split records by parent slot, each parent's over split border k,
         then edge e: the top-row, the bottom-row and the run-column edge cut
         by k.  They are counted first, so that rec_left and rec_right are
-        allocated once at their exact size, then filled per parent left
-        border i."""
-        nb, n = len(bt), int(bt[-1])
+        allocated once at their exact size, then filled per split border k
+        (_record_runs)."""
+        n = int(bt[-1])
         # Section (i, j) is the overlap of (i, right board edge) and (left
         # board edge, j), so an edge is cut inside it iff it is cut inside
         # both: cut masks factor into an (i, k) and a (k, j) half.  Split
@@ -401,17 +407,16 @@ class _SectionIndex:
         sub = self.slot_of[self.sec_of]  # (x, y, a, b): section (x, y), rows a, b
         col = np.where(col_left[None] == 1, sub[..., 1], sub[..., 0])
         left = np.concatenate([sub, col[..., None]], axis=3)  # (i, k, a, e)
-        left = np.where(after[:, :, None], left, -1).transpose(0, 2, 1, 3)  # (i, a, k, e)
+        left = np.where(after[:, :, None], left, -1).transpose(1, 3, 2, 0).copy()  # (k, e, a, i)
         col = np.where(col_left[:, :, None] == 1, sub[:, :, 0], sub[:, :, 1])
         right = np.concatenate([sub, col[:, :, None]], axis=2)  # (k, j, e, b)
-        right = np.where(before[..., None], right, -1).transpose(1, 3, 0, 2)  # (j, b, k, e)
+        right = np.where(before[..., None], right, -1).transpose(0, 2, 3, 1).copy()  # (k, e, b, j)
         # A child with a slot lies between the parent's borders, so the
         # records per parent are a product summed over k and e: one matrix
         # product, exact in float32.
         has_parent = sub >= 0
-        counts = np.where(has_parent, np.einsum(
-            "iake,jbke->ijab", (left >= 0).astype(np.float32),
-            (right >= 0).astype(np.float32), optimize=True), 0).astype(np.int64)
+        counts = np.einsum("keai,kebj->ijab", (left >= 0).astype(np.float32),
+                           (right >= 0).astype(np.float32), optimize=True)
         per_slot = np.zeros(len(self.slot_sid), dtype=np.int64)
         per_slot[sub[has_parent]] = counts[has_parent]
         self.rec_start = np.r_[0, np.cumsum(per_slot)]
@@ -422,24 +427,109 @@ class _SectionIndex:
                 "use a narrower board")
         self.rec_left = np.empty(total, dtype=np.int32)
         self.rec_right = np.empty(total, dtype=np.int32)
-        # Both k and j lie beyond i in t + b order.
-        starts = np.searchsorted(bt + bb, bt + bb, side="right").tolist()
-        for i, lo in enumerate(starts):
+        # Parent borders i and j lie before and after k in t + b order.
+        order = bt + bb
+        spans = zip(np.searchsorted(order, order, side="left").tolist(),
+                    np.searchsorted(order, order, side="right").tolist())
+        self._split_parts = (left, right, sub, list(spans))
+        for ok, l_, r, at in self._record_runs(deadline):
+            self.rec_left[at] = np.broadcast_to(l_, ok.shape)[ok]
+            self.rec_right[at] = np.broadcast_to(r, ok.shape)[ok]
+
+    def _record_runs(self, deadline):
+        """The split records over each split border k, in arrays indexed (e,
+        a, i, b, j): edge e, parent left border i and its row a, parent
+        right border j and its row b.  Yields (ok, left, right, at): ok
+        marks the records, left (e, a, i, 1, 1) and right (e, b, j) are
+        their child slots and at their ids, in the order ok lists them.
+        Ids number each parent's records from rec_start in (k, e) order."""
+        left, right, sub, spans = self._split_parts
+        # The next record id of each parent, (a, i, b, j).
+        next_id = self.rec_start[sub].transpose(2, 0, 3, 1).copy()
+        for k, (lo, hi) in enumerate(spans):
             _check_deadline(deadline)
-            # Arrays indexed (j, a, b, k, e): the records come out grouped by
-            # parent, each group in (k, e) order, and move to its run.
-            l_, r = np.broadcast_arrays(left[i, None, :, None, lo:], right[lo:, None, :, lo:])
-            ok = (l_ >= 0) & (r >= 0) & has_parent[i, lo:, :, :, None, None]
-            group = counts[i, lo:].ravel()
-            at = np.repeat(self.rec_start[sub[i, lo:].ravel()] - (np.cumsum(group) - group), group)
-            at += np.arange(len(at))
-            self.rec_left[at] = l_[ok]
-            self.rec_right[at] = r[ok]
+            l_, r = left[k, :, :, :lo, None, None], right[k, :, None, None, :, hi:]
+            ok = (l_ >= 0) & (r >= 0) & (sub[:lo, hi:] >= 0).transpose(2, 0, 3, 1)
+            if not ok.any():
+                continue
+            rank = ok.astype(np.int32)  # over e, per parent
+            rank[1] += rank[0]
+            rank[2] += rank[1]
+            ids = next_id[:, :lo, :, hi:]
+            rank += ids - 1
+            ids[...] = rank[2] + 1
+            yield ok, l_, r, rank[ok]
+
+    def child_records(self, deadline=None):
+        """(child_start, child_recs): slot s is a child of the records
+        child_recs[child_start[s]:child_start[s + 1]], int32 ids, each
+        record listed once under its left and once under its right child.
+        Built on first call, 8 B per record, for the worklist pass only; a
+        build the deadline interrupts is not kept.
+
+        No sort: each run of _record_runs goes to its place through a fill
+        pointer per child slot.  Over split border k, a record's left child
+        is the slot of section (i, k) named by (e, a, i), and its right
+        child the slot of section (k, j) named by (e, b, j).  For a fixed e
+        no two names share a slot, so each name takes a block from its
+        slot's pointer, and a record's place in the block is its rank over
+        (b, j), or over (a, i), among the records of its name."""
+        if self._children is not None:
+            return self._children
+        # A name lists a record per parent (i, j, a, b) with a child on the
+        # other side: two matrix products, exact in float32.
+        left, right, sub, _ = self._split_parts
+        has_left, has_right = left >= 0, right >= 0
+        has_parent = (sub >= 0).astype(np.float32)
+        per_left = np.einsum("ijab,kebj->keai", has_parent, has_right.astype(np.float32),
+                             optimize=True)
+        per_right = np.einsum("keai,ijab->kebj", has_left.astype(np.float32), has_parent,
+                              optimize=True)
+        slots = len(self.slot_sid)
+        start = np.zeros(slots + 1, dtype=np.int64)
+        np.cumsum(np.bincount(left[has_left], per_left[has_left], slots)
+                  + np.bincount(right[has_right], per_right[has_right], slots), out=start[1:])
+        fill = start[:-1].copy()
+        recs = np.empty(int(start[-1]), dtype=np.int32)
+
+        def reserve(child, counts):
+            """First place of each name's block, taken from its child
+            slot's fill pointer; child and counts are indexed by name, e
+            first."""
+            base = np.zeros_like(counts)
+            for e in range(3):
+                has = counts[e] > 0
+                at = child[e][has]
+                base[e][has] = fill[at]
+                fill[at] += counts[e][has]
+            return base
+
+        for ok, l_, r, at in self._record_runs(deadline):
+            _, _, i, _, j = ok.shape
+            listed = ok.view(np.int8).reshape(3, 2 * i, 2 * j)
+            # Left children, names (e, a, i): each name's records are
+            # consecutive in at.
+            counts = np.add.reduce(listed, axis=2, dtype=np.int64).reshape(3, 2, i)
+            recs[_ranges(reserve(l_.reshape(3, 2, i), counts).ravel(), counts.ravel())] = at
+            # Right children, names (e, b, j): ranked over (a, i).
+            rank = np.cumsum(listed, axis=1, dtype=np.int32)
+            rank += reserve(r.reshape(3, 2 * j), rank[:, -1])[:, None] - 1
+            recs[rank[ok.reshape(listed.shape)]] = at
+        self._children = (start, recs)
+        return self._children
 
 
-# Indexes by width, least recently used first.  An index takes 12 MB at
-# n = 30, 27 MB at n = 40 and 88 MB at n = 60, so only the last few widths
-# stay.
+def _ranges(starts, counts):
+    """The ranges starts[g]:starts[g] + counts[g], concatenated."""
+    at = (starts - counts.cumsum() + counts).repeat(counts)
+    at += np.arange(len(at), dtype=at.dtype)
+    return at
+
+
+# Indexes by width, least recently used first.  An index takes 10 MB at
+# n = 30, 23 MB at n = 40 and 81 MB at n = 60, and a worklist solve adds its
+# child lists, 8 B per split record: 8, 21 and 74 MB.  So only the last few
+# widths stay.
 _INDEX_CACHE: dict = {}
 _INDEX_CACHE_WIDTHS = 4
 
@@ -843,70 +933,88 @@ def _solve_buckets(best, imap, row_of, index, deadline):
 
     Settles entries bucket by bucket in value order 0, 1, 2, ...: once
     bucket k is done, every entry whose value is at most k is final, so
-    "settled" means value <= k and the one relaxed array is the table.
-    Offers read that array, so one may add an unsettled child's tentative
-    value.  A tentative value is the value of some derivation, so no offer
-    goes below an entry's final value; and no offer is weaker than one
-    that reads unsettled entries as +inf, so every entry still reaches its
-    final value in its own bucket.  A split offer is the sum of its two
-    children, so it lands in the current bucket only when one child was
-    settled in it and the other has value 0; each bucket repeats that
-    zero-partner round over the slots where an entry dropped to k until
-    none does.  Then the bucket offers the split sums of every record with
-    a child settled in it and the other in a slot with settled entries but
-    no zero (zero rounds offered the rest with their final values for the
-    bucket), and the recolour rule, both for later buckets.
+    "settled" means value <= k and the one relaxed array is the table.  A
+    slot is settled once one of its entries is.  Bucket k starts from the
+    slots with an entry at k and repeats one kind of round until no entry
+    drops to k: mark the round's slots settled, and offer the split sums of
+    every record that lists one of them as a child and has both children
+    settled (index.child_records); the next round's slots are those where
+    an entry dropped to k.  Then the recolour rule offers to later buckets.
+
+    Offers read the table, so one may add a settled slot's tentative entry.
+    A tentative value is the value of some derivation, so no offer goes
+    below an entry's final value.  Every split still reaches its parent
+    with both children final.  Take a split sum a + b, a >= b, that is the
+    final value of a parent entry.  The child entry with value a reaches a
+    at the start of bucket a or by a drop in one of its rounds, so its slot
+    is in a round of bucket a.  In that round the other child's entry
+    already holds b and its slot is settled; if b = a, the later of the two
+    rounds is the one that counts.  So the record is offered with both
+    final values: b = 0 puts the parent into bucket a, and b >= 1 into a
+    later bucket, which reads it at its start.
     """
     # The table is planes-major, (colour, ignore set, slot), so that a split
     # record gathers and min-reduces contiguous runs per plane.
     flat_best = best.reshape(-1, best.shape[2])
     rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
-    chunk_records = max(1, _CHUNK_ENTRIES // len(flat_best))
+    child_start, child_recs = index.child_records(deadline)
+    # Records per offer: half a chunk, as the split kernel holds the sums of
+    # both children at once.  On the 2x10 board with 11 of 16 colours whole
+    # chunks peaked at 122 MB, half chunks at 96-101 MB, no slower.
+    chunk = max(1, _CHUNK_ENTRIES // 2 // len(flat_best))
+    settled = np.zeros(len(index.slot_sid), dtype=bool)
+    listed = np.zeros(len(rec_left), dtype=bool)
+    # Child lists are gathered in pieces of slots that list at most chunk
+    # records.
+    per_child = np.diff(child_start)
+    piece = max(1, chunk // max(1, int(per_child.max(initial=0))))
 
-    def offer_splits(recs, k):
-        """Offer the split sums of recs; return the slots where an entry
-        dropped to k."""
-        dropped = np.zeros(flat_best.shape[1], dtype=bool)
-        for lo in range(0, len(recs), chunk_records):
-            _check_deadline(deadline)
-            chunk = recs[lo:lo + chunk_records]
-            parents = np.searchsorted(rec_start, chunk, side="right") - 1
-            starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
-            parents = parents[starts]
-            old, new = _lower_by_splits(flat_best, rec_left[chunk], rec_right[chunk],
-                                        parents, starts)
-            dropped[parents] |= ((new == k) & (old > k)).any(axis=0)
+    def offer(recs, k, dropped):
+        """Offer the split sums of recs, ascending ids, and mark in dropped
+        the slots where an entry dropped to k."""
+        _check_deadline(deadline)
+        # Slot first + p owns recs[at[p]:at[p + 1]].
+        first, last = rec_start.searchsorted(recs[[0, -1]], "right") - 1
+        at = recs.searchsorted(rec_start[first:last + 2])
+        owned = (at[1:] != at[:-1]).nonzero()[0]
+        parents = owned + first
+        old, low = _lower_by_splits(flat_best, rec_left[recs], rec_right[recs],
+                                    parents, at[owned])
+        dropped[parents] |= ((low == k) & (old > k)).any(axis=0)
+
+    def offer_round(new, k):
+        """Offer the split sums of every record with a child in new and
+        both children settled; return the slots where an entry dropped to
+        k."""
+        slots = new.nonzero()[0]
+        for a in range(0, len(slots), piece):
+            part = slots[a:a + piece]
+            listed[child_recs[_ranges(child_start[part], per_child[part])]] = True
+        dropped = np.zeros(len(new), dtype=bool)
+        # Listed ids are read a block at a time, and offered in chunks.
+        pending = np.empty(0, dtype=np.intp)
+        for lo in range(0, len(listed), chunk):
+            recs = listed[lo:lo + chunk].nonzero()[0]
+            recs += lo
+            listed[recs] = False
+            recs = recs[settled[rec_left[recs]] & settled[rec_right[recs]]]
+            pending = np.concatenate([pending, recs])
+            end = lo + chunk >= len(listed)
+            while len(pending) >= chunk or end and len(pending):
+                offer(pending[:chunk], k, dropped)
+                pending = pending[chunk:]
         return dropped
 
-    def touching(recs, new_slots, partner_slots):
-        """Records of recs (all when None) with one child in new_slots and
-        the other in partner_slots."""
-        code = new_slots.view(np.uint8) | (partner_slots.view(np.uint8) << 1)
-        left = code[rec_left if recs is None else rec_left[recs]]
-        right = code[rec_right if recs is None else rec_right[recs]]
-        hit = np.flatnonzero(((left & (right >> 1)) | (right & (left >> 1))) & 1)
-        return hit if recs is None else recs[hit]
-
-    has_settled = np.zeros(len(index.slot_sid), dtype=bool)
-    has_zero = has_settled  # the same array until bucket 0 is settled
-    zero_recs = None  # records with a child holding a zero entry; None: all
     k = -1
     while True:
         _check_deadline(deadline)
         k = int(best.min(where=best > k, initial=INF))
         if k >= INF:
             break
-        new_slots = (best == k).any(axis=(0, 1))
-        in_bucket = np.zeros_like(has_settled)
-        while new_slots.any():
-            in_bucket |= new_slots
-            has_settled |= new_slots
-            new_slots = offer_splits(touching(zero_recs, new_slots, has_zero), k)
-        if k == 0:
-            has_zero = has_settled.copy()
-            zero_recs = np.flatnonzero(has_zero[rec_left] | has_zero[rec_right])
-        else:
-            offer_splits(touching(None, in_bucket, has_settled & ~has_zero), k)
+        new = (best == k).any(axis=(0, 1))
+        while new.any():
+            settled |= new
+            new = offer_round(new, k)
         low = _least_over_colours(best, row_of)
         low += 1
         for row, planes in zip(best, imap):  # a colour at a time: no table-sized gather

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from floodit import dp2xn
 from floodit.cli import main
 
 
@@ -133,6 +134,20 @@ def test_verify_reduction(capsys):
 def test_verify_random(capsys):
     assert main(["verify", "--random", "5", "4", "3", "--seed", "3"]) == 0
     assert "PASS random 5 boards" in capsys.readouterr().out
+
+
+def test_verify_random_compares_the_worklist_table(monkeypatch, capsys):
+    # A worklist table that differs only on unreached entries keeps every
+    # board value, so only the table comparison can catch it.
+    solve_buckets = dp2xn._solve_buckets
+
+    def unreached_read_finite(best, *args):
+        solve_buckets(best, *args)
+        best[best == dp2xn.INF] -= 1
+
+    monkeypatch.setattr(dp2xn, "_solve_buckets", unreached_read_finite)
+    assert main(["verify", "--random", "5", "4", "3", "--seed", "3"]) == 1
+    assert "FAIL random 5 boards" in capsys.readouterr().out
 
 
 def test_verify_requires_a_suite(capsys):
