@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--emit-sequence", action="store_true")
     p_solve.add_argument("--json", action="store_true")
     p_solve.add_argument("--time-budget", type=float, metavar="SECONDS",
-                         help="wall-clock budget of the dp method; exit 3 when it runs out")
+                         help="wall-clock budget of the solve; exit 3 when it runs out")
 
     p_reduce = sub.add_parser("reduce", help="compile a graph into a board")
     p_reduce.add_argument("graph", help="edge-list file path")
@@ -120,7 +120,8 @@ def _cmd_solve(args) -> int:
             if args.emit_sequence:
                 moves = dp2xn.reconstruct(table)
         else:
-            result = oracle.min_moves(to_graph(board), target=target)
+            budget = oracle.SearchBudget(max_seconds=args.time_budget)
+            result = oracle.min_moves(to_graph(board), target=target, budget=budget)
             if not result.is_exact:
                 print(f"error: search budget exhausted ({result.reason})", file=sys.stderr)
                 return EXIT_CAPACITY

@@ -230,8 +230,10 @@ _TABLE_ENTRY_CAP = 50_000_000
 # under 1 GB, 2 GB with the lists, and their places within int32.  The 2x60
 # index holds 9.26M records.
 _RECORD_CAP = 125_000_000
-# Entries one chunk of split sums may gather: 16 MB of int16.
-_CHUNK_ENTRIES = 1 << 23
+# Entries of one sum array in the split kernel.  `_lower_by_splits` holds
+# two at once (the gathered left columns and the right ones added to them),
+# so a chunk's temporaries stay within 16 MB of int16.
+_CHUNK_ENTRIES = 1 << 22
 
 
 def _check_deadline(deadline):
@@ -958,10 +960,7 @@ def _solve_buckets(best, imap, row_of, index, deadline):
     flat_best = best.reshape(-1, best.shape[2])
     rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
     child_start, child_recs = index.child_records(deadline)
-    # Records per offer: half a chunk, as the split kernel holds the sums of
-    # both children at once.  On the 2x10 board with 11 of 16 colours whole
-    # chunks peaked at 122 MB, half chunks at 96-101 MB, no slower.
-    chunk = max(1, _CHUNK_ENTRIES // 2 // len(flat_best))
+    chunk = max(1, _CHUNK_ENTRIES // len(flat_best))  # records per offer
     settled = np.zeros(len(index.slot_sid), dtype=bool)
     listed = np.zeros(len(rec_left), dtype=bool)
     # Child lists are gathered in pieces of slots that list at most chunk

@@ -1,13 +1,53 @@
 """Exhaustive ground-truth solvers and structural checks.
 
-`min_moves` is a uniform-cost breadth-first search over colouring vectors:
-the first flooded state found is optimal.  It is exact and meant for small
-instances; budgets make exhaustion an explicit outcome instead of a silent
-wrong answer.
+`min_moves` is an exact search over colouring vectors, meant for small
+instances.  A move recolours one monochromatic component; moves are
+generated once per (component, colour), and `prune_non_merging` keeps only
+colours that occur next to the component.
+
+Search order.  States are expanded best-first by f = g + h, where g is a
+state's depth (moves from the start) and h the lower bound (colours present
+- 1) + [target absent].  Among states of equal f the deeper one goes first,
+its h being smaller, and then the one queued first.  On a board with two
+colours every unflooded state has h = 1, so the order is breadth-first.
+
+Why this is exact.  h is consistent.  A move recolours one component, so
+only its old colour can leave the board and the colour count falls by at
+most one.  The target term falls only when the move brings the absent
+target in, and then the count does not fall.  So h falls by at most one
+per move, and f never falls along a path.  States leave the queue in order of
+increasing f, and each at its least depth: a state reached again at a
+smaller depth is queued again with the new parent, and a queued entry
+whose depth is no longer the state's least is skipped when it leaves.  So
+each state is expanded at most once.  An expanded state of key f is not
+flooded, so h >= 1 and its children have f' >= f and, when flooded
+with the right colour (h = 0), g + 1 <= f, hence exactly f.  Every
+solution of length L passes only through states with f <= L, and no state
+with f below the popped one is left, so the first right-coloured flood
+generated is optimal.  A flood of the wrong colour needs one more move, a
+recolour of the whole board: it only lowers the incumbent to depth + 2.
+
+The incumbent.  The greedy sequence of `greedy_upper_bound` is a real
+solution, so the search looks only for something strictly shorter: it stops
+when the least f in the queue reaches the incumbent's length and drops every
+child whose f does.  The greedy sequence is the answer when nothing shorter
+exists.  The value never depends on the incumbent's quality: when it is
+not optimal, the states of an optimal solution all have f at most the
+optimum, below the incumbent, and none is dropped.  Its quality changes
+only the work.  States with f below the optimum are expanded whatever it
+is; an optimal incumbent ends the search before the states with f equal
+to the optimum, and a longer one lets more children into the queue.
+
+Budgets.  `states_explored` counts expanded states, not generated ones.
+`SearchBudget.max_states` bounds that count and `SearchBudget.max_seconds`
+the wall-clock time, checked once per expanded state.  Running out of
+either gives status "unknown" with the reason, never a wrong value.
 """
 
 from __future__ import annotations
 
+import heapq
+import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -18,10 +58,13 @@ from .errors import EnumerationLimitError, InputError
 @dataclass(frozen=True)
 class SearchBudget:
     max_states: int = 2_000_000
+    max_seconds: Optional[float] = None
 
     def __post_init__(self):
         if self.max_states <= 0:
             raise InputError("max_states must be positive")
+        if self.max_seconds is not None and not self.max_seconds > 0:
+            raise InputError("max_seconds must be positive")
 
 
 @dataclass
@@ -103,11 +146,12 @@ def min_moves(
     """Exact minimum number of moves to flood `g` (optionally with a fixed
     final colour, optionally with moves restricted to a vertex set).
 
-    Breadth-first over colouring vectors with dedup; one representative
-    move per (component, colour).  `prune_non_merging` drops moves that do
-    not merge components, which preserves optimality (a non-merging move can
-    always be deferred to the point where it does merge); the final
-    recolour-only move of the targeted variant is handled separately.
+    Best-first over colouring vectors in order of depth + lower bound, as
+    the module docstring describes; one representative move per (component,
+    colour).  `prune_non_merging` drops moves that do not merge components,
+    which preserves optimality (a non-merging move can always be deferred to
+    the point where it does merge); the final recolour-only move of the
+    targeted variant is handled separately.
     """
     if budget is None:
         budget = SearchBudget()
@@ -124,6 +168,9 @@ def min_moves(
             if not 0 <= v < n:
                 raise InputError(f"allowed vertex {v} out of range")
     adjacency = g.adjacency
+    deadline = None
+    if budget.max_seconds is not None:
+        deadline = time.monotonic() + budget.max_seconds
 
     ub_moves = greedy_upper_bound(g, target, allowed)
 
@@ -134,94 +181,105 @@ def min_moves(
         fix = Move(min(allowed) if allowed else 0, target)
         return MinMovesResult("exact", 1, [fix], 0)
 
-    parents = {start: None}
-    frontier = [start]
-    depth = 0
-    explored = 0
     # The greedy sequence is a real solution; the search only has to look
-    # for something strictly shorter.
+    # for something strictly shorter: no f at or above best_value is queued.
     best_value = len(ub_moves)
     best_state = None
     best_extra = None  # final recolour move for a wrong-coloured flood
+    # state -> (least depth reached so far, parent state, mover, colour)
+    reached = {start: (0, None, None, None)}
+    lb = len(set(start)) - 1
+    if target is not None and target not in start:
+        lb += 1
+    # (f, -depth, arrival, state): least f first, then the deeper state,
+    # then the one queued first.
+    queue = [(lb, 0, 0, start)]
+    queued = 0
+    explored = 0
 
     def build_witness():
         if best_state is None:
             return list(ub_moves)
         moves = []
         cur = best_state
-        while parents[cur] is not None:
-            prev, mv = parents[cur]
-            moves.append(mv)
-            cur = prev
+        while cur != start:
+            _depth, cur, mover, colour = reached[cur]
+            moves.append(Move(mover, colour))
         moves.reverse()
         if best_extra is not None:
             moves.append(best_extra)
         return moves
 
-    while frontier:
-        if depth + 1 >= best_value:
-            break  # deeper layers cannot improve on the best known solution
-        nxt = []
-        for state in frontier:
-            explored += 1
-            if explored > budget.max_states:
-                return MinMovesResult(
-                    "unknown", None, None, explored, reason="state budget exhausted"
-                )
-            comps, _comp_of = _components_of(state, adjacency)
-            for members in comps:
-                if allowed is not None:
-                    movers = [v for v in members if v in allowed]
-                    if not movers:
-                        continue
-                    mover = movers[0]
-                else:
-                    mover = members[0]
-                own = state[mover]
-                if prune_non_merging:
-                    colours = set()
-                    for v in members:
-                        for u in adjacency[v]:
-                            if state[u] != own:
-                                colours.add(state[u])
-                else:
-                    colours = set(range(c)) - {own}
-                for colour in colours:
-                    nstate = list(state)
-                    for v in members:
-                        nstate[v] = colour
-                    nstate = tuple(nstate)
-                    if nstate in parents:
-                        continue
-                    present = set(nstate)
-                    if len(present) == 1:  # flooded, with the move's colour
-                        if target is None or colour == target:
-                            # Breadth-first order: first hit is optimal.
-                            parents[nstate] = (state, Move(mover, colour))
-                            best_state = nstate
-                            best_extra = None
-                            witness = build_witness()
-                            return MinMovesResult(
-                                "exact", depth + 1, witness, explored
-                            )
-                        if depth + 2 < best_value:
-                            parents[nstate] = (state, Move(mover, colour))
-                            best_value = depth + 2
-                            best_state = nstate
-                            best_extra = Move(
-                                min(allowed) if allowed else 0, target
-                            )
-                        continue
-                    # Flooding still needs >= (#colours present - 1) moves.
-                    lb = len(present) - 1
-                    if target is not None and target not in present:
-                        lb += 1
-                    if depth + 1 + lb >= best_value:
-                        continue
-                    parents[nstate] = (state, Move(mover, colour))
-                    nxt.append(nstate)
-        frontier = nxt
-        depth += 1
+    while queue:
+        f, neg_depth, _arrival, state = heapq.heappop(queue)
+        if f >= best_value:
+            break  # nothing left can beat the best known solution
+        depth = -neg_depth
+        if reached[state][0] < depth:
+            continue  # queued again since, at a smaller depth
+        explored += 1
+        if explored > budget.max_states:
+            return MinMovesResult(
+                "unknown", None, None, explored, reason="state budget exhausted"
+            )
+        if deadline is not None and time.monotonic() > deadline:
+            return MinMovesResult(
+                "unknown", None, None, explored, reason="time budget exhausted"
+            )
+        comps, _comp_of = _components_of(state, adjacency)
+        for members in comps:
+            if allowed is not None:
+                movers = [v for v in members if v in allowed]
+                if not movers:
+                    continue
+                mover = movers[0]
+            else:
+                mover = members[0]
+            own = state[mover]
+            if prune_non_merging:
+                colours = set()
+                for v in members:
+                    for u in adjacency[v]:
+                        if state[u] != own:
+                            colours.add(state[u])
+            else:
+                colours = set(range(c)) - {own}
+            for colour in colours:
+                nstate = list(state)
+                for v in members:
+                    nstate[v] = colour
+                nstate = tuple(nstate)
+                known = reached.get(nstate)
+                if known is not None and known[0] <= depth + 1:
+                    continue
+                present = set(nstate)
+                if len(present) == 1:  # flooded, with the move's colour
+                    if target is None or colour == target:
+                        # Its f is the popped f, and no state with a lower
+                        # f is left: the first hit is optimal.
+                        reached[nstate] = (depth + 1, state, mover, colour)
+                        best_state = nstate
+                        best_extra = None
+                        return MinMovesResult(
+                            "exact", depth + 1, build_witness(), explored
+                        )
+                    if depth + 2 < best_value:
+                        reached[nstate] = (depth + 1, state, mover, colour)
+                        best_value = depth + 2
+                        best_state = nstate
+                        best_extra = Move(
+                            min(allowed) if allowed else 0, target
+                        )
+                    continue
+                # Flooding still needs >= (#colours present - 1) moves.
+                lb = len(present) - 1
+                if target is not None and target not in present:
+                    lb += 1
+                if depth + 1 + lb >= best_value:
+                    continue
+                reached[nstate] = (depth + 1, state, mover, colour)
+                queued += 1
+                heapq.heappush(queue, (depth + 1 + lb, -depth - 1, queued, nstate))
 
     # Search exhausted everything that could beat the best known solution.
     return MinMovesResult("exact", best_value, build_witness(), explored)

@@ -91,6 +91,21 @@ def test_solve_time_budget_exits_3_promptly(tmp_path, capsys):
     assert "value 2" in capsys.readouterr().out
 
 
+def test_solve_time_budget_reaches_the_search(tmp_path, capsys):
+    from floodit import gen
+    from floodit.board import serialize_board
+
+    # 2x6 with 5 colours: auto searches (12 squares), and the search expands
+    # 30 states, so the budget is read before it ends.
+    text = serialize_board(gen.random_board(random.Random(0), 6, 5))
+    board = write(tmp_path / "b.txt", text)
+    for method in ("bfs", "auto"):
+        assert main(["solve", board, "--method", method, "--time-budget", "1e-9"]) == 3
+        assert "time budget exhausted" in capsys.readouterr().err
+        assert main(["solve", board, "--method", method, "--time-budget", "60"]) == 0
+        assert "value 5 (method bfs" in capsys.readouterr().out
+
+
 def test_solve_parse_error_exit_2(tmp_path, capsys):
     board = write(tmp_path / "b.txt", "2\na b\nb\n")
     assert main(["solve", board]) == 2

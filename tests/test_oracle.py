@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from floodit import oracle
 from floodit.board import Board2xN, board_from_tokens, to_graph
-from floodit.engine import ColouredGraph, colours_present, replay
+from floodit.engine import ColouredGraph, Move, colours_present, replay
 from floodit.errors import EnumerationLimitError, InputError
-from floodit.gen import random_connected_graph, random_covering_pair, random_tree
+from floodit.gen import random_board, random_connected_graph, random_covering_pair, random_tree
 from floodit.oracle import (
     MinMovesResult,
     SearchBudget,
@@ -77,10 +78,128 @@ def test_prune_matches_unpruned_exhaustively_2x2():
             assert fast.value == slow.value
 
 
+def brute_force_values(g, allowed=None):
+    """Unpruned breadth-first search from g's colouring: every move at an
+    allowed vertex to every other palette colour, no bound, no incumbent.
+    Returns the free value and the value for each target colour."""
+    n, c, adjacency = g.num_vertices, len(g.palette), g.adjacency
+    movers = range(n) if allowed is None else sorted(allowed)
+    start = tuple(g.colouring)
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for v in movers:
+                block, stack = {v}, [v]
+                while stack:
+                    x = stack.pop()
+                    for u in adjacency[x]:
+                        if u not in block and state[u] == state[v]:
+                            block.add(u)
+                            stack.append(u)
+                for colour in range(c):
+                    if colour == state[v]:
+                        continue
+                    nstate = tuple(colour if x in block else state[x] for x in range(n))
+                    if nstate not in dist:
+                        dist[nstate] = dist[state] + 1
+                        nxt.append(nstate)
+        frontier = nxt
+    per_target = [dist.get((d,) * n) for d in range(c)]
+    return min(v for v in per_target if v is not None), per_target
+
+
+def test_matches_brute_force_on_every_2x3_board():
+    for cells in itertools.product(range(3), repeat=6):
+        g = to_graph(Board2xN(3, (cells[:3], cells[3:]), ("a", "b", "c")))
+        free, per_target = brute_force_values(g)
+        res = min_moves(g)
+        assert res.value == free and validate_witness(g, res)
+        for d in range(3):
+            res = min_moves(g, target=d)
+            assert res.value == per_target[d] and validate_witness(g, res, d)
+
+
+def test_matches_brute_force_on_random_graphs():
+    rng = random.Random(1414)
+    for _ in range(200):
+        g = random_connected_graph(rng, rng.randint(2, 7), rng.randint(2, 3))
+        allowed = sorted(rng.sample(range(g.num_vertices), rng.randint(1, g.num_vertices)))
+        free, per_target = brute_force_values(g, allowed)
+        for target, want in [(None, free), *enumerate(per_target)]:
+            for prune in (True, False):
+                res = min_moves(g, target=target, allowed_vertices=allowed,
+                                prune_non_merging=prune)
+                assert res.value == want
+                assert validate_witness(g, res, target)
+
+
+@pytest.mark.parametrize("adjacency, colouring, palette, target, value", [
+    # The all-c flood of the wrong colour is reached at depth 3, then at 2.
+    ([[1, 3], [0, 2], [1, 3, 4], [0, 2], [2, 5, 6], [4], [4]],
+     [0, 1, 1, 2, 0, 2, 0], "abc", 1, 3),
+    # An unflooded colouring is reached again at a smaller depth.
+    ([[1, 4], [0, 2], [1, 3, 5], [2], [0], [2]], [3, 2, 3, 0, 0, 2], "abcd", 2, 3),
+])
+def test_colouring_reached_again_at_smaller_depth(adjacency, colouring, palette,
+                                                  target, value):
+    """The search meets these colourings first on a longer path; only the
+    shorter path found later gives the optimum."""
+    g = ColouredGraph(adjacency, colouring, tuple(palette))
+    _free, per_target = brute_force_values(g)
+    res = min_moves(g, target=target)
+    assert res.value == per_target[target] == value
+    assert validate_witness(g, res, target)
+
+
+def test_value_does_not_depend_on_the_incumbent(monkeypatch):
+    """A long valid incumbent changes no value: the anchor's component
+    absorbs the vertices one at a time in breadth-first order."""
+    def long_sequence(g, target=None, allowed_vertices=None):
+        anchor = 0 if allowed_vertices is None else min(allowed_vertices)
+        order, seen = [anchor], {anchor}
+        for v in order:
+            for u in g.adjacency[v]:
+                if u not in seen:
+                    seen.add(u)
+                    order.append(u)
+        moves = [Move(anchor, g.colouring[v]) for v in order[1:]]
+        if target is not None:
+            moves.append(Move(anchor, target))
+        return moves
+
+    rng = random.Random(5)
+    cases = []
+    for _ in range(40):
+        board = random_board(rng, rng.randint(3, 5), rng.randint(2, 4))
+        g = to_graph(board)
+        for target in (None, rng.randrange(len(board.palette))):
+            cases.append((g, target, min_moves(g, target=target).value))
+    monkeypatch.setattr(oracle, "greedy_upper_bound", long_sequence)
+    for g, target, want in cases:
+        final, flooded = replay(g, long_sequence(g, target))
+        assert flooded and (target is None or final.colouring[0] == target)
+        assert len(long_sequence(g, target)) >= want
+        res = min_moves(g, target=target)
+        assert res.value == want and validate_witness(g, res, target)
+
+
 def test_budget_exhaustion_is_explicit():
     g = to_graph(board_from_tokens(list("abc"), list("cab")))
     res = min_moves(g, budget=SearchBudget(max_states=1))
     assert res.status == "unknown" and res.value is None
+
+
+def test_wall_clock_budget_is_explicit():
+    g = to_graph(random_board(random.Random(3), 6, 5))
+    assert min_moves(g).states_explored > 0
+    res = min_moves(g, budget=SearchBudget(max_seconds=1e-9))
+    assert res.status == "unknown" and res.value is None
+    assert res.reason == "time budget exhausted" and res.states_explored == 1
+    assert min_moves(g, budget=SearchBudget(max_seconds=60)).is_exact
+    with pytest.raises(InputError):
+        SearchBudget(max_seconds=0)
 
 
 def test_invalid_inputs():
