@@ -1,6 +1,6 @@
 """Oracle (`oracle.min_moves`) time and states of two source trees, side by side.
 
-    python scripts/bench_oracle.py LABEL=SRC_DIR LABEL=SRC_DIR [--runs 5] [--boards 40]
+    python scripts/bench_oracle.py LABEL=SRC_DIR LABEL=SRC_DIR [--runs 5]
 
 Each SRC_DIR holds a `floodit` package (the `src/` of a checkout).  A run is
 one fresh process per tree that calls `oracle.min_moves` once on every
@@ -16,12 +16,11 @@ harder neighbour; 2x10/2c, where the colour bound is weakest; and 2x6/4c
 with a target colour, board i asking for colour i mod 4.
 """
 
-import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
+
+from benchpair import alternate, parse_sides, run_child
 
 FAMILIES = {
     "2x5_4c": (5, 4, False),
@@ -31,13 +30,14 @@ FAMILIES = {
     "2x10_2c": (10, 2, False),
     "2x6_4c_target": (6, 4, True),
 }
+BOARDS_PER_FAMILY = 40
 
 CHILD = r"""
 import json, random, sys, time
 from floodit import oracle
 from floodit.board import to_graph
 from floodit.gen import random_board
-families, count = json.loads(sys.argv[1]), int(sys.argv[2])
+families, count = json.loads(sys.argv[1])
 out = {}
 for name, (n, colours, targeted) in families.items():
     rng = random.Random(f"bench_oracle {name}")
@@ -54,30 +54,19 @@ print(json.dumps(out))
 """
 
 
-def measure(src, count):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(FAMILIES), str(count)],
-                         env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out)
+def measure(src):
+    return json.loads(run_child(src, CHILD, json.dumps([FAMILIES, BOARDS_PER_FAMILY])))
 
 
 def main(argv):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("sides", nargs="+", metavar="LABEL=SRC_DIR")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--boards", type=int, default=40, help="boards per family")
-    args = parser.parse_args(argv)
-    sides = [side.split("=", 1) for side in args.sides]
-    if any(len(side) != 2 for side in sides):
-        parser.error("each side is LABEL=SRC_DIR")
+    sides, runs = parse_sides(__doc__, argv)
     results = {label: [] for label, _ in sides}
-    for r in range(args.runs):
-        for label, src in sides if r % 2 == 0 else sides[::-1]:
-            results[label].append(measure(src, args.boards))
+    for label, src in alternate(sides, runs):
+        results[label].append(measure(src))
     values = {label: {name: [v for v, _, _ in got[0][name]] for name in FAMILIES}
               for label, got in results.items()}
     for label, _ in sides:
-        row = {"revision": label, "runs": args.runs, "boards": args.boards}
+        row = {"revision": label, "runs": runs, "boards": BOARDS_PER_FAMILY}
         for name in FAMILIES:
             calls = [call for run in results[label] for call in run[name]]
             ms = [m for _, _, m in calls]

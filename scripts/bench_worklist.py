@@ -17,12 +17,11 @@ board with 11 of 16 palette colours (48.4M table entries), where the
 ignore-set planes dominate the cost.
 """
 
-import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
+
+from benchpair import alternate, parse_sides, run_child
 
 CHILD = r"""
 import hashlib, random, resource, sys, time
@@ -51,28 +50,19 @@ BOARDS = ("2x60_4c", "2x10_11of16c")
 
 
 def measure(src, board):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", CHILD, board], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout.split()
+    out = run_child(src, CHILD, board).split()
     return {"value": int(out[0]), "solve_s": round(float(out[1]), 3),
             "peak_rss_mb": round(float(out[2]), 1), "md5": out[3]}
 
 
 def main(argv):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("sides", nargs="+", metavar="LABEL=SRC_DIR")
-    parser.add_argument("--runs", type=int, default=5)
-    args = parser.parse_args(argv)
-    sides = [side.split("=", 1) for side in args.sides]
-    if any(len(side) != 2 for side in sides):
-        parser.error("each side is LABEL=SRC_DIR")
+    sides, runs = parse_sides(__doc__, argv)
     results = {label: {board: [] for board in BOARDS} for label, _ in sides}
-    for r in range(args.runs):
-        for label, src in sides if r % 2 == 0 else sides[::-1]:
-            for board in BOARDS:
-                results[label][board].append(measure(src, board))
+    for label, src in alternate(sides, runs):
+        for board in BOARDS:
+            results[label][board].append(measure(src, board))
     for label, _ in sides:
-        row = {"revision": label, "runs": args.runs}
+        row = {"revision": label, "runs": runs}
         for board, got in results[label].items():
             row[board] = {
                 "value": got[0]["value"],

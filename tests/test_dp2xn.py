@@ -452,6 +452,22 @@ def test_reference_table_equals_bucketed_worklist():
         assert tr.stats().relaxations == tw.stats().relaxations
 
 
+def test_split_kernel_blocks_and_chunks_do_not_change_tables(monkeypatch):
+    # One table row per gather block and a few records per chunk, so that
+    # every kernel call runs many blocks and a layer many chunks, against
+    # the tables at the default sizes.
+    rng = random.Random(1010)
+    boards = [random_board(rng, rng.randint(2, 6), rng.randint(2, 4)) for _ in range(12)]
+    modes = ("reference", "worklist")
+    expected = {mode: [solve(board, mode=mode)[1]._dense for board in boards] for mode in modes}
+    monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(dp2xn, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
+    for mode in modes:
+        for board, dense in zip(boards, expected[mode]):
+            assert np.array_equal(solve(board, mode=mode)[1]._dense, dense), (mode, board.cells)
+
+
 def test_tables_are_the_least_fixed_point_of_the_rules():
     # One application of every rule to the finished table, on every plane:
     # the split rule over each record, the recolour rule, and the seeds.
