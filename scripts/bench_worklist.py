@@ -1,16 +1,16 @@
-"""Worklist-mode solve time and peak RSS of two source trees, side by side.
+"""Solve time and peak RSS of two source trees in both modes, side by side.
 
     python scripts/bench_worklist.py LABEL=SRC_DIR LABEL=SRC_DIR [--runs 5]
 
 Each SRC_DIR holds a `floodit` package (the `src/` of a checkout).  Every
 measurement is a fresh process that solves one board with
-`dp2xn.solve(board, mode="worklist")`, section index build included, and
-reports the wall time of that call, `ru_maxrss` of the process and the md5
-of the solved table, expanded to (colour, ignore set, slot) over every
-palette colour and every subset of the board's colours (the peak is read
-before the expansion).  A round runs every board once per tree, and rounds
-alternate which tree runs first.  Prints one JSON row per tree: the
-per-board medians and every run.
+`dp2xn.solve(board, mode=MODE)`, section index build included, and reports
+the wall time of that call, `ru_maxrss` of the process and the md5 of the
+solved table, expanded to (colour, ignore set, slot) over every palette
+colour and every subset of the board's colours (the peak is read before the
+expansion).  A round runs every board in both modes, "reference" and
+"worklist", once per tree, and rounds alternate which tree runs first.
+Prints one JSON row per tree: per board and mode, the medians and every run.
 
 Boards: the acceptance criterion's 2x60 board with 4 colours, and a 2x10
 board with 11 of 16 palette colours (48.4M table entries), where the
@@ -37,7 +37,7 @@ else:
     rng.shuffle(cells)
     board = Board2xN(10, (tuple(cells[:10]), tuple(cells[10:])), colour_tokens(16))
 start = time.perf_counter()
-value, table = dp2xn.solve(board, mode="worklist")
+value, table = dp2xn.solve(board, mode=sys.argv[2])
 seconds = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 # (colour, ignore set, slot) over every palette colour and every subset of
@@ -47,24 +47,26 @@ print(value, seconds, peak, hashlib.md5(full.tobytes()).hexdigest())
 """
 
 BOARDS = ("2x60_4c", "2x10_11of16c")
+MODES = ("reference", "worklist")
 
 
-def measure(src, board):
-    out = run_child(src, CHILD, board).split()
+def measure(src, board, mode):
+    out = run_child(src, CHILD, board, mode).split()
     return {"value": int(out[0]), "solve_s": round(float(out[1]), 3),
             "peak_rss_mb": round(float(out[2]), 1), "md5": out[3]}
 
 
 def main(argv):
     sides, runs = parse_sides(__doc__, argv)
-    results = {label: {board: [] for board in BOARDS} for label, _ in sides}
+    results = {label: {(board, mode): [] for board in BOARDS for mode in MODES}
+               for label, _ in sides}
     for label, src in alternate(sides, runs):
-        for board in BOARDS:
-            results[label][board].append(measure(src, board))
+        for board, mode in results[label]:
+            results[label][board, mode].append(measure(src, board, mode))
     for label, _ in sides:
         row = {"revision": label, "runs": runs}
-        for board, got in results[label].items():
-            row[board] = {
+        for (board, mode), got in results[label].items():
+            row.setdefault(board, {})[mode] = {
                 "value": got[0]["value"],
                 "md5": sorted({g["md5"] for g in got}),
                 "solve_s_median": statistics.median(g["solve_s"] for g in got),

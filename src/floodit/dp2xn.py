@@ -216,29 +216,30 @@ _SEED_CELLS = 4
 _WIDE_CELLS = 7
 # Table entries (slots x palette x 2^k, k colours on the board) a solve
 # accepts.  The table stores k x 2^(k-1) x slots of them, half or fewer,
-# int16.  Over the 28 MB a process holds before the solve, a solve peaks at
-# about 5.1 B per stored entry in reference mode (the table and the pass's
-# per-layer temporaries) and 4.1-4.4 B in worklist mode (the table, the
-# per-child record lists and one offer's split sums).  Measured on a 2x10
-# board with 11 colours (16.6M stored entries, fresh processes): 112 MB and
-# 96-101 MB peak RSS, 3.4 and 2.9-3.0 B per counted entry with a palette of
-# 11 (33.3M), 2.3 and 2.0-2.1 B with a palette of 16 (48.4M).  So the cap
-# keeps a solve under about 200 MB.
+# int16.  Over the 31 MB a process holds before the solve, a solve peaks at
+# about 2.5 B per stored entry in reference mode (the table and the pass's
+# per-layer temporaries) and 4.1 B in worklist mode (the table and, at each
+# bucket start, a table-sized bool mask).  Measured on a 2x10 board with 11
+# colours (16.6M stored entries, fresh processes): 73 MB and 100 MB peak
+# RSS, 2.2 and 3.0 B per counted entry with a palette of 11 (33.3M), 1.5
+# and 2.1 B with a palette of 16 (48.4M).  So the cap keeps a solve under
+# about 200 MB.
 _TABLE_ENTRY_CAP = 50_000_000
 # Split records a section index may hold.  The index keeps 8 B per record
 # (two int32 child slots) and its child lists 8 B more, so the cap keeps it
 # under 1 GB, 2 GB with the lists, and their places within int32.  The 2x60
 # index holds 9.26M records.
 _RECORD_CAP = 125_000_000
-# Entries of the split kernel's sum array: 8 MB of int16 per chunk.  Each
-# chunk reads every row of the table, so `_lower_by_splits` gathers both
-# children's columns a block of rows of at most _BLOCK_ENTRIES entries at a
-# time, while that block of the table is in cache; its only other temporary
-# is one block.  Unblocked, this chunk size made the reference solve of a
-# 2x10 board with 11 of 16 colours (11,264 table rows) 15% slower than
-# chunks twice as large.
-_CHUNK_ENTRIES = 1 << 22
+# Entries of one row block of the split kernel.  `_lower_by_splits` gathers,
+# adds, min-reduces and lowers a block of table rows at a time, so that its
+# temporaries stay one block each over the call's records and the block of
+# the table it reads stays in cache across its two gathers.
 _BLOCK_ENTRIES = 1 << 18
+# Split records per worklist offer.  A round lists its records in windows of
+# this many ids and offers them in batches of this many, so listing holds a
+# few id arrays of this length, not a round's worth: offering whole rounds
+# raised the criterion board's worklist peak from 210 to 258 MB.
+_OFFER_RECORDS = 1 << 17
 
 
 def _check_deadline(deadline):
@@ -266,7 +267,9 @@ class _SectionIndex:
     order, by their section's cell count (layer l is slots
     layer_bounds[l]:layer_bounds[l + 1]).  Split records are stored by
     parent: slot s has records rec_start[s]:rec_start[s + 1], whose children
-    rec_left and rec_right lie in earlier layers.
+    rec_left and rec_right lie in earlier layers.  layer_splits[l] is
+    (parents, starts): the slots of layer l that own records, and each one's
+    first record counted from the layer's first.
     """
 
     def __init__(self, n: int, deadline=None):
@@ -344,37 +347,11 @@ class _SectionIndex:
         self.seed_cells = np.array(seed_cells, dtype=np.intp).reshape(-1, _SEED_CELLS)
         self.seed_slot = self.slot_of[tuple(np.reshape(seed_at, (-1, 3)).T)].astype(np.intp)
         self._build_records(bt, bb, deadline)
-        self._chunks = {}  # layer_chunks by row count
+        owners = np.flatnonzero(self.rec_start[1:] != self.rec_start[:-1])
+        at = np.searchsorted(owners, self.layer_bounds).tolist()
+        self.layer_splits = [(owners[a:b], self.rec_start[owners[a:b]] - self.rec_start[lo])
+                             for lo, a, b in zip(self.layer_bounds.tolist(), at[:-1], at[1:])]
         self._children = None  # child_records
-
-    def layer_chunks(self, rows):
-        """Per layer, (lo, hi, chunks): its slot range lo:hi and its split
-        records cut on parent boundaries into chunks of about _CHUNK_ENTRIES
-        // rows records (rows: table rows per slot).  A chunk is (rlo, rhi,
-        parents, starts): its record range, the parents owning those records
-        and each parent's first record, offset by rlo.  Cached per row
-        count."""
-        layers = self._chunks.get(rows)
-        if layers is not None:
-            return layers
-        size = max(1, _CHUNK_ENTRIES // rows)
-        rec_start = self.rec_start
-        owners = np.flatnonzero(rec_start[1:] != rec_start[:-1])
-        bounds = self.layer_bounds.tolist()
-        owner_bounds = np.searchsorted(owners, bounds).tolist()
-        layers = []
-        for lo, hi, pa, pb in zip(bounds[:-1], bounds[1:], owner_bounds[:-1], owner_bounds[1:]):
-            parents = owners[pa:pb]
-            chunks = []
-            if len(parents):
-                starts = np.r_[rec_start[parents], rec_start[hi]]
-                cuts = np.flatnonzero(np.diff((starts[:-1] - starts[0]) // size)) + 1
-                edges = [0, *cuts.tolist(), len(parents)]
-                chunks = [(int(starts[a]), int(starts[b]), parents[a:b], starts[a:b] - starts[a])
-                          for a, b in zip(edges[:-1], edges[1:])]
-            layers.append((lo, hi, chunks))
-        self._chunks[rows] = layers
-        return layers
 
     def pair_slot(self, sid, r1, r2):
         """Slot of the end cells r1, r2 of section sid, or None."""
@@ -884,26 +861,33 @@ def _least_over_colours(t, row_of):
     return low
 
 
-def _lower_by_splits(flat, left, right, parents, starts):
-    """The split rule over one run of records grouped by parent: gather and
-    add the children's table columns, take each parent's least sum (starts:
-    its first record in the run) and lower the parent's column to it.
-    Returns the parents' columns before and after."""
+def _lower_by_splits(flat, left, right, parents, starts, deadline, k=None):
+    """The split rule over one run of records grouped by parent, a block of
+    table rows at a time: gather and add the children's columns, take each
+    parent's least sum (starts: its first record in the run) and lower the
+    parent's column to it.  Returns per parent whether an entry dropped
+    from above k to k (none without k)."""
     # take converts int32 ids to intp on every call: once here, not per block.
+    # Record ids are in range by construction, and mode "clip" skips the
+    # bounds check of mode "raise".
     left, right = left.astype(np.intp), right.astype(np.intp)
-    sums = np.empty((len(flat), len(left)), flat.dtype)
+    dropped = np.zeros(len(parents), dtype=bool)
     rows = max(1, _BLOCK_ENTRIES // len(left))
+    # The parents' places in a flattened block: a 1-d scatter, which is
+    # several times faster than block[:, parents] on blocks of a few rows.
+    at = (np.arange(min(rows, len(flat)))[:, None] * flat.shape[1] + parents).ravel()
     for r in range(0, len(flat), rows):
-        block, part = flat[r:r + rows], sums[r:r + rows]
-        # With mode "raise" take gathers into a copy of out and copies it
-        # back; record ids are in range by construction.
-        block.take(left, axis=1, out=part, mode="clip")
-        part += block.take(right, axis=1)
-    new = np.minimum.reduceat(sums, starts, axis=1)
-    old = flat[:, parents]
-    np.minimum(old, new, out=new)
-    flat[:, parents] = new
-    return old, new
+        _check_deadline(deadline)
+        block = flat[r:r + rows]
+        sums = block.take(left, axis=1, mode="clip")
+        sums += block.take(right, axis=1, mode="clip")
+        low = np.minimum.reduceat(sums, starts, axis=1)
+        old = block.take(parents, axis=1)
+        if k is not None:
+            dropped |= ((low == k) & (old > k)).any(axis=0)
+        np.minimum(old, low, out=low)
+        block.reshape(-1)[at[:low.size]] = low.ravel()
+    return dropped
 
 
 def _solve_dense(t, imap, row_of, index, deadline):
@@ -920,18 +904,18 @@ def _solve_dense(t, imap, row_of, index, deadline):
 
     Returns the number of layers.
     """
-    # Planes-major, (colour, ignore set, slot): a split chunk gathers and
+    # Planes-major, (colour, ignore set, slot): the split kernel gathers and
     # min-reduces contiguous runs per plane.  A layer is a slot range and its
     # split records one run.
     k, h, _ = t.shape
     flat = t.reshape(k * h, -1)
-    left, right = index.rec_left, index.rec_right
-    layers = index.layer_chunks(k * h)
-    for lo, hi, chunks in layers:
+    bounds, rec_start = index.layer_bounds.tolist(), index.rec_start
+    for lo, hi, (parents, starts) in zip(bounds[:-1], bounds[1:], index.layer_splits):
         _check_deadline(deadline)
-        for rlo, rhi, parents, starts in chunks:
-            _check_deadline(deadline)
-            _lower_by_splits(flat, left[rlo:rhi], right[rlo:rhi], parents, starts)
+        if len(parents):
+            rlo, rhi = rec_start[lo], rec_start[hi]
+            _lower_by_splits(flat, index.rec_left[rlo:rhi], index.rec_right[rlo:rhi],
+                             parents, starts, deadline)
         run = t[:, :, lo:hi]
         low = _least_over_colours(run, row_of)  # W, (full plane, slot)
         for j in range(k):
@@ -939,7 +923,7 @@ def _solve_dense(t, imap, row_of, index, deadline):
             np.minimum(pair[:, 0], pair[:, 1] + 1, out=pair[:, 0])
         low += 1
         np.minimum(run, low[imap], out=run)
-    return len(layers)
+    return len(bounds) - 1
 
 
 def _solve_buckets(best, imap, row_of, index, deadline):
@@ -973,26 +957,24 @@ def _solve_buckets(best, imap, row_of, index, deadline):
     flat_best = best.reshape(-1, best.shape[2])
     rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
     child_start, child_recs = index.child_records(deadline)
-    chunk = max(1, _CHUNK_ENTRIES // len(flat_best))  # records per offer
+    size = _OFFER_RECORDS
     settled = np.zeros(len(index.slot_sid), dtype=bool)
     listed = np.zeros(len(rec_left), dtype=bool)
-    # Child lists are gathered in pieces of slots that list at most chunk
+    # Child lists are gathered in pieces of slots that list at most size
     # records.
     per_child = np.diff(child_start)
-    piece = max(1, chunk // max(1, int(per_child.max(initial=0))))
+    piece = max(1, size // max(1, int(per_child.max(initial=0))))
 
     def offer(recs, k, dropped):
         """Offer the split sums of recs, ascending ids, and mark in dropped
         the slots where an entry dropped to k."""
-        _check_deadline(deadline)
         # Slot first + p owns recs[at[p]:at[p + 1]].
         first, last = rec_start.searchsorted(recs[[0, -1]], "right") - 1
         at = recs.searchsorted(rec_start[first:last + 2])
         owned = (at[1:] != at[:-1]).nonzero()[0]
         parents = owned + first
-        old, low = _lower_by_splits(flat_best, rec_left[recs], rec_right[recs],
-                                    parents, at[owned])
-        dropped[parents] |= ((low == k) & (old > k)).any(axis=0)
+        dropped[parents] |= _lower_by_splits(flat_best, rec_left[recs], rec_right[recs],
+                                             parents, at[owned], deadline, k)
 
     def offer_round(new, k):
         """Offer the split sums of every record with a child in new and
@@ -1003,18 +985,18 @@ def _solve_buckets(best, imap, row_of, index, deadline):
             part = slots[a:a + piece]
             listed[child_recs[_ranges(child_start[part], per_child[part])]] = True
         dropped = np.zeros(len(new), dtype=bool)
-        # Listed ids are read a block at a time, and offered in chunks.
+        # Listed ids are read a window at a time, and offered in batches.
         pending = np.empty(0, dtype=np.intp)
-        for lo in range(0, len(listed), chunk):
-            recs = listed[lo:lo + chunk].nonzero()[0]
+        for lo in range(0, len(listed), size):
+            recs = listed[lo:lo + size].nonzero()[0]
             recs += lo
             listed[recs] = False
             recs = recs[settled[rec_left[recs]] & settled[rec_right[recs]]]
             pending = np.concatenate([pending, recs])
-            end = lo + chunk >= len(listed)
-            while len(pending) >= chunk or end and len(pending):
-                offer(pending[:chunk], k, dropped)
-                pending = pending[chunk:]
+            end = lo + size >= len(listed)
+            while len(pending) >= size or end and len(pending):
+                offer(pending[:size], k, dropped)
+                pending = pending[size:]
         return dropped
 
     k = -1

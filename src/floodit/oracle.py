@@ -322,6 +322,14 @@ class TreeView:
         return path
 
 
+def _find(parent, a):
+    """Root of a in the union-find forest parent, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 def spanning_trees(g: ColouredGraph, limit: int = 100_000):
     """Yield every spanning tree of `g` exactly once as a TreeView.
 
@@ -336,18 +344,11 @@ def spanning_trees(g: ColouredGraph, limit: int = 100_000):
     def connected_with(edge_subset_flags, from_index):
         # Can the edges chosen so far plus all undecided edges still connect?
         parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         comps = n
         for i, (a, b) in enumerate(edges):
             if i < from_index and not edge_subset_flags[i]:
                 continue
-            ra, rb = find(a), find(b)
+            ra, rb = _find(parent, a), _find(parent, b)
             if ra != rb:
                 parent[ra] = rb
                 comps -= 1
@@ -372,15 +373,8 @@ def spanning_trees(g: ColouredGraph, limit: int = 100_000):
             return
         if i == m:
             return
-
-        def find(parent, a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         a, b = edges[i]
-        ra, rb = find(uf_parent, a), find(uf_parent, b)
+        ra, rb = _find(uf_parent, a), _find(uf_parent, b)
         if ra != rb:
             child = list(uf_parent)
             child[ra] = rb

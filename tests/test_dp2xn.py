@@ -452,20 +452,37 @@ def test_reference_table_equals_bucketed_worklist():
         assert tr.stats().relaxations == tw.stats().relaxations
 
 
-def test_split_kernel_blocks_and_chunks_do_not_change_tables(monkeypatch):
-    # One table row per gather block and a few records per chunk, so that
-    # every kernel call runs many blocks and a layer many chunks, against
-    # the tables at the default sizes.
+def test_split_kernel_blocks_and_offers_do_not_change_tables(monkeypatch):
+    # One table row per gather block and a few records per offer, so that
+    # every kernel call runs many blocks and a worklist round many offers,
+    # against the tables at the default sizes.
     rng = random.Random(1010)
     boards = [random_board(rng, rng.randint(2, 6), rng.randint(2, 4)) for _ in range(12)]
     modes = ("reference", "worklist")
     expected = {mode: [solve(board, mode=mode)[1]._dense for board in boards] for mode in modes}
     monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(dp2xn, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(dp2xn, "_OFFER_RECORDS", 8)
     monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
     for mode in modes:
         for board, dense in zip(boards, expected[mode]):
             assert np.array_equal(solve(board, mode=mode)[1]._dense, dense), (mode, board.cells)
+
+
+def test_one_index_serves_every_colour_count(monkeypatch):
+    # Tables of 2, 4 and 6 colours differ in their row count; solved in turn
+    # through one cached index, each equals the table from a fresh index.
+    rng = random.Random(1023)
+    boards = [random_board(rng, 5, colours) for colours in (2, 4, 6)]
+    modes = ("reference", "worklist")
+    monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
+    shared = [solve(board, mode=mode)[1] for board in boards for mode in modes]
+    assert [table._values.shape[0] for table in shared] == [2, 2, 4, 4, 6, 6]
+    assert len({id(table._index) for table in shared}) == 1
+    for table in shared:
+        monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
+        fresh = solve(table.board, mode=table.mode)[1]
+        assert fresh._index is not table._index
+        assert np.array_equal(fresh._dense, table._dense), (table.mode, table.board.cells)
 
 
 def test_tables_are_the_least_fixed_point_of_the_rules():
