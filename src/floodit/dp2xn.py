@@ -131,7 +131,7 @@ section (ZKey.ignore); masks that agree on a section's colours provably hold
 equal values there.  The table stores only the k board colours, each on the
 2^(k-1) planes without its own bit (lemma "own bit"): colour j's plane p is
 the full plane expand[j, p], and full plane J reads colour j's plane
-row_of[j, J].  Palette colours absent from the board have no rows (lemma
+row_of[j, J].  Palette colours absent from the board have no entries (lemma
 "absent colours").  So the table holds k x 2^(k-1) x slots entries, half or
 less of the palette x 2^k x slots (colour, ignore set) pairs.
 
@@ -176,10 +176,12 @@ records that list one of them as a child and have both children settled.
 The index builds those per-child record lists on first use, for worklist
 solves only.
 
-The table is the int16 array both passes relax, planes-major (colour on the
-board, ignore set without its bit, slot); INF = 2^14 - 1 marks an entry no
-rule reaches, which value_of reads as +inf.  DPTable keeps that array and
-reads every (slot, palette colour, full plane) through one accessor.
+The table is the int16 array both passes relax, slot-major (slot, colour on
+the board, ignore set without its bit): a slot's k x 2^(k-1) entries are one
+contiguous row, so the split rule reads each child as one row and a layer
+is one slot range.  INF = 2^14 - 1 marks an entry no rule reaches, which
+value_of reads as +inf.  DPTable keeps that array and reads every (slot,
+palette colour, full plane) through one accessor.
 """
 
 from __future__ import annotations
@@ -217,23 +219,23 @@ _WIDE_CELLS = 7
 # Table entries (slots x palette x 2^k, k colours on the board) a solve
 # accepts.  The table stores k x 2^(k-1) x slots of them, half or fewer,
 # int16.  Over the 31 MB a process holds before the solve, a solve peaks at
-# about 2.5 B per stored entry in reference mode (the table and the pass's
-# per-layer temporaries) and 4.1 B in worklist mode (the table and, at each
-# bucket start, a table-sized bool mask).  Measured on a 2x10 board with 11
-# colours (16.6M stored entries, fresh processes): 73 MB and 100 MB peak
-# RSS, 2.2 and 3.0 B per counted entry with a palette of 11 (33.3M), 1.5
-# and 2.1 B with a palette of 16 (48.4M).  So the cap keeps a solve under
-# about 200 MB.
+# about 2.4 B per stored entry in either mode: the table and temporaries of
+# one block each (_BLOCK_ENTRIES).  Measured on a 2x10 board with 11
+# colours (16.6M stored entries, fresh processes): 72 MB peak RSS in
+# reference mode and 71 MB in worklist mode, 2.2 B per counted entry with a
+# palette of 11 (33.3M) and 1.5 B with a palette of 16 (48.4M).  So the cap
+# keeps a solve's table and temporaries under about 100 MB.
 _TABLE_ENTRY_CAP = 50_000_000
 # Split records a section index may hold.  The index keeps 8 B per record
 # (two int32 child slots) and its child lists 8 B more, so the cap keeps it
 # under 1 GB, 2 GB with the lists, and their places within int32.  The 2x60
 # index holds 9.26M records.
 _RECORD_CAP = 125_000_000
-# Entries of one row block of the split kernel.  `_lower_by_splits` gathers,
-# adds, min-reduces and lowers a block of table rows at a time, so that its
-# temporaries stay one block each over the call's records and the block of
-# the table it reads stays in cache across its two gathers.
+# Entries of one block of a pass's temporaries.  `_lower_by_splits` gathers,
+# adds, min-reduces and lowers a block of records at a time, at most this
+# many sums (their child rows), and the recolour rule works on a block of
+# slots whose (slot, full plane) least values hold at most this many
+# entries, so that every temporary stays one block whatever the colours.
 _BLOCK_ENTRIES = 1 << 18
 # Split records per worklist offer.  A round lists its records in windows of
 # this many ids and offers them in batches of this many, so listing holds a
@@ -635,8 +637,8 @@ class DPTable:
         self._bits = bits.tolist()  # plane bit per palette colour
         # Table row per palette colour: its bit's position, -1 if absent.
         self._row = [b.bit_length() - 1 for b in self._bits]
-        # The pass's own int16 array, (colour on the board, ignore set
-        # without that colour's bit, slot); row_of[j, J] is the plane of
+        # The pass's own int16 array, (slot, colour on the board, ignore
+        # set without that colour's bit); row_of[j, J] is the plane of
         # colour j that full plane J reads.
         self._values = values
         self._row_of = row_of
@@ -649,20 +651,20 @@ class DPTable:
 
     def _read(self, slot, d, plane):
         """Values of (slot, palette colour d, full plane): one entry for an
-        int slot and plane, (plane, slot) for slice(None) and an array of
-        planes.  A colour on the board reads its row at the plane without
+        int slot and plane, (slot, plane) for slice(None) and an array of
+        planes.  A colour on the board reads its entry at the plane without
         its own bit (lemma "own bit"), an absent colour one more than the
         least value over the board's colours (lemma "absent colours")."""
         j = self._row[d]
         if j >= 0:
             if type(slot) is int:  # the common lookup, without array scalars
-                return self._values.item(j, self._row_of.item(j, plane), slot)
-            return self._values[j, self._row_of[j, plane], slot]
-        least = _least_over_colours(self._values[:, :, slot], self._row_of[:, plane])
+                return self._values.item(slot, j, self._row_of.item(j, plane))
+            return _entries(self._values[slot], j, self._row_of[j, plane])
+        least = _least_over_colours(self._values[slot], self._row_of[:, plane])
         return np.minimum(least + 1, INF)
 
     def _colour_planes(self):
-        """Each palette colour's values on every full plane, (plane, slot),
+        """Each palette colour's values on every full plane, (slot, plane),
         expanded a colour at a time.  Absent colours share one array."""
         planes = np.arange(self._row_of.shape[1])
         absent = None
@@ -679,11 +681,11 @@ class DPTable:
         """The values as (slot, palette colour, full plane) over all 2^k
         planes, expanded on first access, for tests and cross-checks.
         Lookups and stats() go through _read instead."""
-        full = np.empty((len(self._row), self._row_of.shape[1], self._values.shape[2]),
+        full = np.empty((len(self._values), len(self._row), self._row_of.shape[1]),
                         dtype=self._values.dtype)
         for d, planes in enumerate(self._colour_planes()):
-            full[d] = planes
-        return full.transpose(2, 0, 1)
+            full[:, d] = planes
+        return full
 
     def _plane(self, ignore, sid):
         """Plane of a palette ignore bitmask, canonical for section sid."""
@@ -700,11 +702,11 @@ class DPTable:
 
     def _canonical(self):
         """canon[slot, plane]: the plane holds only colours of the slot's
-        section.  A transposed view, (full plane, slot) underneath."""
+        section."""
         # int32 holds every plane: the entry cap keeps 2^colours <= 2^25.
         planes = np.arange(self._row_of.shape[1], dtype=np.int32)
         slot_masks = self._masks[self._index.slot_sid].astype(np.int32)
-        return ((planes[:, None] & ~slot_masks[None, :]) == 0).T
+        return (planes[None, :] & ~slot_masks[:, None]) == 0
 
     def entries(self) -> dict:
         """All finite keys with canonical ignore masks."""
@@ -799,7 +801,7 @@ class DPTable:
         return best, goal
 
     def stats(self) -> TableStats:
-        canon = self._canonical().T  # (full plane, slot), like one colour's values
+        canon = self._canonical()  # (slot, full plane), like one colour's values
         keys = zeros = max_value = relaxations = 0
         for v in self._colour_planes():
             finite = v < INF
@@ -822,9 +824,9 @@ def _goal_slots(board, index):
 
 
 def _dense_seeds(board, index, masks, bits):
-    """Zero seeds of the table, shape (colour on the board, ignore set
-    without that colour's bit, slot) with INF elsewhere, and the plane maps.
-    A full plane J is any subset of the k board colours; colour j's plane p
+    """Zero seeds of the table, shape (slot, colour on the board, ignore set
+    without that colour's bit) with INF elsewhere, and the plane maps.  A
+    full plane J is any subset of the k board colours; colour j's plane p
     is the full plane expand[j, p], which lacks bit j.  Returns the seeds,
     the recolour map imap[j, p] = expand[j, p] + {j} and row_of[j, J], J
     without bit j, the plane of colour j that full plane J reads."""
@@ -834,7 +836,7 @@ def _dense_seeds(board, index, masks, bits):
     row_of = (full & below) | ((full >> 1) & ~below)
     compressed = full[: 1 << (k - 1)]
     expand = (compressed & below) | ((compressed & ~below) << 1)
-    t_init = np.full((k, len(compressed), len(index.slot_sid)), INF, dtype=np.int16)
+    t_init = np.full((len(index.slot_sid), k, len(compressed)), INF, dtype=np.int16)
     # A listed path seeds its slot with colour d if every cell has colour d.
     # A slot may have several such paths, all with its r1 cell's colour.
     colours = np.ravel(board.cells)[index.seed_cells]
@@ -847,46 +849,83 @@ def _dense_seeds(board, index, masks, bits):
     # Seed every plane that holds the section's colours other than d.
     base = masks[index.slot_sid[slots]] & ~bits[d]
     hit, plane = np.nonzero((expand[j] & base[:, None]) == base[:, None])
-    t_init[j[hit], plane, slots[hit]] = 0
+    t_init[slots[hit], j[hit], plane] = 0
     return t_init, expand | (below + 1), row_of
 
 
+def _entries(t, j, planes):
+    """Colour j's entries t[..., j, planes], taken from each slot's row:
+    (slots, planes) for a run of slots and an array of planes.  An index
+    over (slot, colour, plane) takes two to three times as long on boards
+    of 8 colours."""
+    return t.reshape(*t.shape[:-2], -1).take(planes + j * t.shape[-1], axis=-1)
+
+
 def _least_over_colours(t, row_of):
-    """The least value over the table's colours, W(J) = min_j t[j, row_of[j,
-    J]], gathered a colour at a time: (2^k, slots) for a whole table and
-    map, one value for one slot's column and one plane's map column."""
-    low = t[0][row_of[0]]
-    for row, planes in zip(t[1:], row_of[1:]):
-        low = np.minimum(low, row[planes])
+    """The least value over the table's colours, W(J) = min_j t[..., j,
+    row_of[j, J]], gathered a colour at a time: (slots, planes) for a run
+    of slots and the map's columns of some planes, one value for one slot
+    and one plane's map column."""
+    low = _entries(t, 0, row_of[0])
+    for j in range(1, len(row_of)):
+        low = np.minimum(low, _entries(t, j, row_of[j]))
     return low
 
 
-def _lower_by_splits(flat, left, right, parents, starts, deadline, k=None):
-    """The split rule over one run of records grouped by parent, a block of
-    table rows at a time: gather and add the children's columns, take each
-    parent's least sum (starts: its first record in the run) and lower the
-    parent's column to it.  Returns per parent whether an entry dropped
-    from above k to k (none without k)."""
-    # take converts int32 ids to intp on every call: once here, not per block.
-    # Record ids are in range by construction, and mode "clip" skips the
-    # bounds check of mode "raise".
-    left, right = left.astype(np.intp), right.astype(np.intp)
-    dropped = np.zeros(len(parents), dtype=bool)
-    rows = max(1, _BLOCK_ENTRIES // len(left))
-    # The parents' places in a flattened block: a 1-d scatter, which is
-    # several times faster than block[:, parents] on blocks of a few rows.
-    at = (np.arange(min(rows, len(flat)))[:, None] * flat.shape[1] + parents).ravel()
-    for r in range(0, len(flat), rows):
+def _recolour(t, imap, row_of, deadline, close=False):
+    """The recolour rule on the run of slots t, in place, a block of slots
+    at a time: colour j's entry on plane p takes 1 + W(expand[j, p] + {j})
+    where that is less, W the least value over the board's colours.  With
+    close, W first takes the least W(K) + |K - J| over supersets K of each
+    full plane J, one min-plus pass per plane bit."""
+    k, planes = row_of.shape
+    size = max(1, _BLOCK_ENTRIES // planes)
+    for a in range(0, len(t), size):
         _check_deadline(deadline)
-        block = flat[r:r + rows]
-        sums = block.take(left, axis=1, mode="clip")
-        sums += block.take(right, axis=1, mode="clip")
-        low = np.minimum.reduceat(sums, starts, axis=1)
-        old = block.take(parents, axis=1)
+        run = t[a:a + size]
+        low = _least_over_colours(run, row_of)  # W, (slot, full plane)
+        if close:
+            for j in range(k):
+                pair = low.reshape(len(low), planes >> (j + 1), 2, 1 << j)
+                np.minimum(pair[:, :, 0], pair[:, :, 1] + 1, out=pair[:, :, 0])
+        low += 1
+        np.minimum(run, low.take(imap, axis=1), out=run)
+
+
+def _lower_by_splits(t, left, right, parents, starts, deadline, k=None):
+    """The split rule over one run of records grouped by parent, on the
+    table as rows (slot, entries), a block of records at a time: gather and
+    add the children's rows, take each parent's least sum (starts: its
+    first record in the run) and lower the parent's row to it.  A block
+    holds at most _BLOCK_ENTRIES sums, so it may cut a parent's records;
+    that parent is lowered once per block, to the same least sum.  Returns
+    per parent whether an entry dropped from above k to k (none without
+    k).  A cut parent reports the same drops: the worklist offers no entry
+    above k a sum below k, as every value below k is final."""
+    dropped = np.zeros(len(parents), dtype=bool)
+    size = max(1, _BLOCK_ENTRIES // t.shape[1])
+    p1 = 0
+    for a in range(0, len(left), size):
+        _check_deadline(deadline)
+        # Parents p0:p1 own records a:b.  The first is the previous block's
+        # last parent unless one starts at record a.
+        b = a + size
+        p0 = p1 if p1 < len(parents) and starts.item(p1) == a else p1 - 1
+        p1 = int(starts.searchsorted(b)) if b < len(left) else len(parents)
+        # take converts the block's int32 ids to intp.  Record ids are in
+        # range by construction, and mode "clip" skips the bounds check of
+        # mode "raise".
+        sums = t.take(left[a:b], axis=0, mode="clip")
+        sums += t.take(right[a:b], axis=0, mode="clip")
+        at = starts[p0:p1] - a
+        at[0] = 0
+        low = np.minimum.reduceat(sums, at, axis=0)
+        rows = parents[p0:p1]
+        old = t[rows]
         if k is not None:
-            dropped |= ((low == k) & (old > k)).any(axis=0)
+            dropped[p0:p1] |= ((low == k) & (old > k)).any(axis=1)
         np.minimum(old, low, out=low)
-        block.reshape(-1)[at[:low.size]] = low.ravel()
+        t[rows] = low
     return dropped
 
 
@@ -904,11 +943,9 @@ def _solve_dense(t, imap, row_of, index, deadline):
 
     Returns the number of layers.
     """
-    # Planes-major, (colour, ignore set, slot): the split kernel gathers and
-    # min-reduces contiguous runs per plane.  A layer is a slot range and its
-    # split records one run.
-    k, h, _ = t.shape
-    flat = t.reshape(k * h, -1)
+    # Slot-major, (slot, colour, ignore set): a layer is one contiguous slot
+    # range, its split records one run, and each child one row of entries.
+    flat = t.reshape(len(t), -1)
     bounds, rec_start = index.layer_bounds.tolist(), index.rec_start
     for lo, hi, (parents, starts) in zip(bounds[:-1], bounds[1:], index.layer_splits):
         _check_deadline(deadline)
@@ -916,13 +953,7 @@ def _solve_dense(t, imap, row_of, index, deadline):
             rlo, rhi = rec_start[lo], rec_start[hi]
             _lower_by_splits(flat, index.rec_left[rlo:rhi], index.rec_right[rlo:rhi],
                              parents, starts, deadline)
-        run = t[:, :, lo:hi]
-        low = _least_over_colours(run, row_of)  # W, (full plane, slot)
-        for j in range(k):
-            pair = low.reshape(len(low) >> (j + 1), 2, 1 << j, hi - lo)
-            np.minimum(pair[:, 0], pair[:, 1] + 1, out=pair[:, 0])
-        low += 1
-        np.minimum(run, low[imap], out=run)
+        _recolour(t[lo:hi], imap, row_of, deadline, close=True)
     return len(bounds) - 1
 
 
@@ -952,9 +983,12 @@ def _solve_buckets(best, imap, row_of, index, deadline):
     final values: b = 0 puts the parent into bucket a, and b >= 1 into a
     later bucket, which reads it at its start.
     """
-    # The table is planes-major, (colour, ignore set, slot), so that a split
-    # record gathers and min-reduces contiguous runs per plane.
-    flat_best = best.reshape(-1, best.shape[2])
+    # Slot-major, (slot, colour, ignore set): a split record gathers its
+    # children as two rows of entries.  The bucket starts read the table a
+    # block of slots at a time, so their masks stay one block each.
+    flat_best = best.reshape(len(best), -1)
+    rows = max(1, _BLOCK_ENTRIES // flat_best.shape[1])
+    blocks = [flat_best[a:a + rows] for a in range(0, len(flat_best), rows)]
     rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
     child_start, child_recs = index.child_records(deadline)
     size = _OFFER_RECORDS
@@ -1002,17 +1036,14 @@ def _solve_buckets(best, imap, row_of, index, deadline):
     k = -1
     while True:
         _check_deadline(deadline)
-        k = int(best.min(where=best > k, initial=INF))
+        k = min(int(block.min(where=block > k, initial=INF)) for block in blocks)
         if k >= INF:
             break
-        new = (best == k).any(axis=(0, 1))
+        new = np.concatenate([(block == k).any(axis=1) for block in blocks])
         while new.any():
             settled |= new
             new = offer_round(new, k)
-        low = _least_over_colours(best, row_of)
-        low += 1
-        for row, planes in zip(best, imap):  # a colour at a time: no table-sized gather
-            np.minimum(row, low[planes], out=row)
+        _recolour(best, imap, row_of, deadline)
 
 
 def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference",

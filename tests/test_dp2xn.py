@@ -468,6 +468,57 @@ def test_split_kernel_blocks_and_offers_do_not_change_tables(monkeypatch):
             assert np.array_equal(solve(board, mode=mode)[1]._dense, dense), (mode, board.cells)
 
 
+def test_blocks_that_cut_a_parents_records_do_not_change_tables(monkeypatch):
+    # With 6 to 8 colours on the board a slot's row holds 192 to 1,024
+    # entries, so a block of 2,048 entries holds 2 to 10 records: the split
+    # kernel cuts the records of one parent over several blocks, and the
+    # recolour rule works on blocks of 8 to 32 slots.
+    rng = random.Random(1020)
+    boards = []
+    for n, colours in ((4, 6), (4, 7), (4, 8), (5, 6), (5, 7), (5, 8)):
+        cells = list(range(colours)) + [rng.randrange(colours) for _ in range(2 * n - colours)]
+        rng.shuffle(cells)
+        boards.append(Board2xN(n, (tuple(cells[:n]), tuple(cells[n:])), colour_tokens(colours + 1)))
+    modes = ("reference", "worklist")
+    expected = {mode: [solve(board, mode=mode)[1]._dense for board in boards] for mode in modes}
+    block = 2048
+    monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", block)
+    for mode in modes:
+        for board, dense in zip(boards, expected[mode]):
+            table = solve(board, mode=mode)[1]
+            records = np.diff(table._index.rec_start).max()
+            assert records > block // table._values[0].size, board.cells
+            assert np.array_equal(table._dense, dense), (mode, board.cells)
+
+
+def test_split_kernel_reports_drops_of_parents_cut_over_blocks(monkeypatch):
+    # Rows 0..19 are children, rows 20..39 parents with 1 to 6 records
+    # each.  Blocks of one record cut every parent with two or more; the
+    # table and the per-parent "dropped to k" mask must equal one block's.
+    # k = 0, as no sum goes below it: the worklist offers no sum below k to
+    # an entry above k, since every value below k is final.
+    rng = np.random.default_rng(1030)
+    table = rng.integers(0, 3, size=(40, 8)).astype(np.int16)
+    counts = rng.integers(1, 7, size=20)
+    parents = np.arange(20, 40)
+    starts = np.r_[0, np.cumsum(counts)[:-1]]
+    left = rng.integers(0, 20, size=counts.sum()).astype(np.int32)
+    right = rng.integers(0, 20, size=counts.sum()).astype(np.int32)
+    owner = np.repeat(parents, counts)
+    sums = table[left].astype(np.int64) + table[right]
+    want = table.copy()
+    for p in parents:
+        want[p] = np.minimum(want[p], sums[owner == p].min(axis=0))
+    want_dropped = ((want[parents] == 0) & (table[parents] > 0)).any(axis=1)
+    assert want_dropped.any() and not want_dropped.all()
+    for block in (1 << 18, 8):
+        monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", block)
+        got = table.copy()
+        dropped = dp2xn._lower_by_splits(got, left, right, parents, starts, None, 0)
+        assert np.array_equal(got, want), block
+        assert np.array_equal(dropped, want_dropped), block
+
+
 def test_one_index_serves_every_colour_count(monkeypatch):
     # Tables of 2, 4 and 6 colours differ in their row count; solved in turn
     # through one cached index, each equals the table from a fresh index.
@@ -476,7 +527,7 @@ def test_one_index_serves_every_colour_count(monkeypatch):
     modes = ("reference", "worklist")
     monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
     shared = [solve(board, mode=mode)[1] for board in boards for mode in modes]
-    assert [table._values.shape[0] for table in shared] == [2, 2, 4, 4, 6, 6]
+    assert [table._values.shape[1] for table in shared] == [2, 2, 4, 4, 6, 6]
     assert len({id(table._index) for table in shared}) == 1
     for table in shared:
         monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
@@ -516,13 +567,13 @@ def test_tables_are_the_least_fixed_point_of_the_rules():
             _, table = solve(board, mode=mode)
             index = table._index
             assert table._values.dtype == np.int16
-            assert table._values.shape == (k, 1 << (k - 1), len(index.slot_sid))
+            assert table._values.shape == (len(index.slot_sid), k, 1 << (k - 1))
             # Every palette colour on every full plane, (colour, plane, slot).
             values = table._dense.transpose(1, 2, 0).astype(np.int64)
             seeds = np.full(values.shape, dp2xn.INF, dtype=np.int64)
             stored = dp2xn._dense_seeds(board, index, table._masks, bits)[0]
             for j, d in enumerate(present):
-                seeds[d] = stored[j][planes[j]]
+                seeds[d] = stored[:, j, planes[j]].T
             imap = np.arange(1 << k)[None, :] | bits[:, None]  # I + {d}
             rules = np.minimum(seeds, values.min(axis=0)[imap] + 1)
             sums = values[:, :, index.rec_left] + values[:, :, index.rec_right]
