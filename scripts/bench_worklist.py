@@ -10,7 +10,8 @@ solved table, expanded to (colour, ignore set, slot) over every palette
 colour and every subset of the board's colours (the peak is read before the
 expansion).  A round runs every board in both modes, "reference" and
 "worklist", once per tree, and rounds alternate which tree runs first.
-Prints one JSON row per tree: per board and mode, the medians and every run.
+Prints one JSON row per tree: per board and mode, the medians, the solve
+time's first and third quartiles and every run.
 
 Boards: the acceptance criterion's 2x60 board with 4 colours, and a 2x10
 board with 11 of 16 palette colours (48.4M table entries), where the
@@ -56,6 +57,14 @@ def measure(src, board, mode):
             "peak_rss_mb": round(float(out[2]), 1), "md5": out[3]}
 
 
+def quartiles(xs):
+    """First and third quartile, by statistics.quantiles' default method."""
+    if len(xs) < 2:
+        return xs * 2
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return [round(q1, 4), round(q3, 4)]
+
+
 def main(argv):
     sides, runs = parse_sides(__doc__, argv)
     results = {label: {(board, mode): [] for board in BOARDS for mode in MODES}
@@ -66,12 +75,14 @@ def main(argv):
     for label, _ in sides:
         row = {"revision": label, "runs": runs}
         for (board, mode), got in results[label].items():
+            seconds = [g["solve_s"] for g in got]
             row.setdefault(board, {})[mode] = {
                 "value": got[0]["value"],
                 "md5": sorted({g["md5"] for g in got}),
-                "solve_s_median": statistics.median(g["solve_s"] for g in got),
+                "solve_s_median": statistics.median(seconds),
+                "solve_s_quartiles": quartiles(seconds),
                 "peak_rss_mb_median": statistics.median(g["peak_rss_mb"] for g in got),
-                "solve_s": [g["solve_s"] for g in got],
+                "solve_s": seconds,
                 "peak_rss_mb": [g["peak_rss_mb"] for g in got],
             }
         print(json.dumps(row))

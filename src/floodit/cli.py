@@ -224,6 +224,8 @@ def _cmd_verify(args) -> int:
 
     if args.random:
         count, n, colours = args.random
+        if count < 1 or n < 1 or colours < 1:
+            raise _UsageError("--random needs COUNT >= 1, N >= 1 and C >= 1")
         ok = True
         for _ in range(count):
             board = gen.random_board(rng, n, colours)

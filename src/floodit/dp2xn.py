@@ -170,11 +170,13 @@ upwards, applies the split rule from the final earlier ones, then closes the
 recolour rule with one min-plus subset transform over the ignore sets, a
 pass per plane bit (Bjorklund et al., "Fourier meets Mobius", STOC 2007).
 "worklist" is Dial's bucketed label-setting pass over the same table, which
-settles entries in value order, an independent cross-check.  It has one kind
-of round: the slots where an entry reached the current bucket offer the split
-records that list one of them as a child and have both children settled.
-The index builds those per-child record lists on first use, for worklist
-solves only.
+settles entries in value order, an independent cross-check (Dial,
+"Shortest-path forest with topological ordering", CACM 1969).  Each bucket
+is one upward pass over the split records, which the index stores in layer
+order, a window of layers at a time: a record is offered once both children
+are settled and one holds an entry at the bucket, and a window rescans its
+own records above the slots its offers lowered to the bucket.  It reads the
+same index arrays as the reference pass.
 
 The table is the int16 array both passes relax, slot-major (slot, colour on
 the board, ignore set without its bit): a slot's k x 2^(k-1) entries are one
@@ -186,6 +188,7 @@ palette colour, full plane) through one accessor.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import time
 from dataclasses import dataclass
@@ -227,21 +230,16 @@ _WIDE_CELLS = 7
 # keeps a solve's table and temporaries under about 100 MB.
 _TABLE_ENTRY_CAP = 50_000_000
 # Split records a section index may hold.  The index keeps 8 B per record
-# (two int32 child slots) and its child lists 8 B more, so the cap keeps it
-# under 1 GB, 2 GB with the lists, and their places within int32.  The 2x60
-# index holds 9.26M records.
+# (two int32 child slots), so the cap keeps it under 1 GB and the record ids
+# within int32.  The 2x60 index holds 9.26M records, 74 MB of them.
 _RECORD_CAP = 125_000_000
 # Entries of one block of a pass's temporaries.  `_lower_by_splits` gathers,
 # adds, min-reduces and lowers a block of records at a time, at most this
 # many sums (their child rows), and the recolour rule works on a block of
 # slots whose (slot, full plane) least values hold at most this many
 # entries, so that every temporary stays one block whatever the colours.
+# A worklist window holds at most this many split records (_windows).
 _BLOCK_ENTRIES = 1 << 18
-# Split records per worklist offer.  A round lists its records in windows of
-# this many ids and offers them in batches of this many, so listing holds a
-# few id arrays of this length, not a round's worth: offering whole rounds
-# raised the criterion board's worklist peak from 210 to 258 MB.
-_OFFER_RECORDS = 1 << 17
 
 
 def _check_deadline(deadline):
@@ -353,7 +351,6 @@ class _SectionIndex:
         at = np.searchsorted(owners, self.layer_bounds).tolist()
         self.layer_splits = [(owners[a:b], self.rec_start[owners[a:b]] - self.rec_start[lo])
                              for lo, a, b in zip(self.layer_bounds.tolist(), at[:-1], at[1:])]
-        self._children = None  # child_records
 
     def pair_slot(self, sid, r1, r2):
         """Slot of the end cells r1, r2 of section sid, or None."""
@@ -367,8 +364,7 @@ class _SectionIndex:
         """Split records by parent slot, each parent's over split border k,
         then edge e: the top-row, the bottom-row and the run-column edge cut
         by k.  They are counted first, so that rec_left and rec_right are
-        allocated once at their exact size, then filled per split border k
-        (_record_runs)."""
+        allocated once at their exact size, then filled per split border k."""
         n = int(bt[-1])
         # Section (i, j) is the overlap of (i, right board edge) and (left
         # board edge, j), so an edge is cut inside it iff it is cut inside
@@ -417,20 +413,10 @@ class _SectionIndex:
         order = bt + bb
         spans = zip(np.searchsorted(order, order, side="left").tolist(),
                     np.searchsorted(order, order, side="right").tolist())
-        self._split_parts = (left, right, sub, list(spans))
-        for ok, l_, r, at in self._record_runs(deadline):
-            self.rec_left[at] = np.broadcast_to(l_, ok.shape)[ok]
-            self.rec_right[at] = np.broadcast_to(r, ok.shape)[ok]
-
-    def _record_runs(self, deadline):
-        """The split records over each split border k, in arrays indexed (e,
-        a, i, b, j): edge e, parent left border i and its row a, parent
-        right border j and its row b.  Yields (ok, left, right, at): ok
-        marks the records, left (e, a, i, 1, 1) and right (e, b, j) are
-        their child slots and at their ids, in the order ok lists them.
-        Ids number each parent's records from rec_start in (k, e) order."""
-        left, right, sub, spans = self._split_parts
-        # The next record id of each parent, (a, i, b, j).
+        # Per split border k, arrays indexed (e, a, i, b, j): edge e, parent
+        # left border i and its row a, parent right border j and its row b.
+        # A parent's records over k are numbered in e order from its next
+        # record id, (a, i, b, j).
         next_id = self.rec_start[sub].transpose(2, 0, 3, 1).copy()
         for k, (lo, hi) in enumerate(spans):
             _check_deadline(deadline)
@@ -444,78 +430,14 @@ class _SectionIndex:
             ids = next_id[:, :lo, :, hi:]
             rank += ids - 1
             ids[...] = rank[2] + 1
-            yield ok, l_, r, rank[ok]
-
-    def child_records(self, deadline=None):
-        """(child_start, child_recs): slot s is a child of the records
-        child_recs[child_start[s]:child_start[s + 1]], int32 ids, each
-        record listed once under its left and once under its right child.
-        Built on first call, 8 B per record, for the worklist pass only; a
-        build the deadline interrupts is not kept.
-
-        No sort: each run of _record_runs goes to its place through a fill
-        pointer per child slot.  Over split border k, a record's left child
-        is the slot of section (i, k) named by (e, a, i), and its right
-        child the slot of section (k, j) named by (e, b, j).  For a fixed e
-        no two names share a slot, so each name takes a block from its
-        slot's pointer, and a record's place in the block is its rank over
-        (b, j), or over (a, i), among the records of its name."""
-        if self._children is not None:
-            return self._children
-        # A name lists a record per parent (i, j, a, b) with a child on the
-        # other side: two matrix products, exact in float32.
-        left, right, sub, _ = self._split_parts
-        has_left, has_right = left >= 0, right >= 0
-        has_parent = (sub >= 0).astype(np.float32)
-        per_left = np.einsum("ijab,kebj->keai", has_parent, has_right.astype(np.float32),
-                             optimize=True)
-        per_right = np.einsum("keai,ijab->kebj", has_left.astype(np.float32), has_parent,
-                              optimize=True)
-        slots = len(self.slot_sid)
-        start = np.zeros(slots + 1, dtype=np.int64)
-        np.cumsum(np.bincount(left[has_left], per_left[has_left], slots)
-                  + np.bincount(right[has_right], per_right[has_right], slots), out=start[1:])
-        fill = start[:-1].copy()
-        recs = np.empty(int(start[-1]), dtype=np.int32)
-
-        def reserve(child, counts):
-            """First place of each name's block, taken from its child
-            slot's fill pointer; child and counts are indexed by name, e
-            first."""
-            base = np.zeros_like(counts)
-            for e in range(3):
-                has = counts[e] > 0
-                at = child[e][has]
-                base[e][has] = fill[at]
-                fill[at] += counts[e][has]
-            return base
-
-        for ok, l_, r, at in self._record_runs(deadline):
-            _, _, i, _, j = ok.shape
-            listed = ok.view(np.int8).reshape(3, 2 * i, 2 * j)
-            # Left children, names (e, a, i): each name's records are
-            # consecutive in at.
-            counts = np.add.reduce(listed, axis=2, dtype=np.int64).reshape(3, 2, i)
-            recs[_ranges(reserve(l_.reshape(3, 2, i), counts).ravel(), counts.ravel())] = at
-            # Right children, names (e, b, j): ranked over (a, i).
-            rank = np.cumsum(listed, axis=1, dtype=np.int32)
-            rank += reserve(r.reshape(3, 2 * j), rank[:, -1])[:, None] - 1
-            recs[rank[ok.reshape(listed.shape)]] = at
-        self._children = (start, recs)
-        return self._children
+            at = rank[ok]
+            self.rec_left[at] = np.broadcast_to(l_, ok.shape)[ok]
+            self.rec_right[at] = np.broadcast_to(r, ok.shape)[ok]
 
 
-def _ranges(starts, counts):
-    """The ranges starts[g]:starts[g] + counts[g], concatenated."""
-    at = (starts - counts.cumsum() + counts).repeat(counts)
-    at += np.arange(len(at), dtype=at.dtype)
-    return at
-
-
-# Indexes by width, least recently used first.  An index takes 10 MB at
-# n = 30, 23 MB at n = 40 and 81 MB at n = 60, and a worklist solve adds its
-# child lists, 8 B per split record: 8, 21 and 74 MB.  So only the last few
-# widths stay.
+# Indexes by width, least recently used first.  An index takes 9 MB at
+# n = 30, 23 MB at n = 40 and 80 MB at n = 60, in either mode, so only the
+# last few widths stay.
 _INDEX_CACHE: dict = {}
 _INDEX_CACHE_WIDTHS = 4
 
@@ -957,6 +879,29 @@ def _solve_dense(t, imap, row_of, index, deadline):
     return len(bounds) - 1
 
 
+def _windows(index, cap):
+    """The worklist's windows over the split records, and where a scan for
+    a slot's records starts.  Window w is the records bounds[w]:bounds[w +
+    1]: consecutive whole layers while their records number at most cap,
+    one kernel block, or a larger layer alone, cut into pieces of at most
+    _BLOCK_ENTRIES records.  above[s] is the first record whose parent lies
+    in a layer above slot s; children lie in earlier layers than their
+    parent, so every record with child s lies at or after above[s], and a
+    window of one layer holds no record with a parent in it as a child."""
+    edges = index.rec_start[index.layer_bounds].tolist()
+    bounds = [0]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - bounds[-1] > cap:
+            if lo > bounds[-1]:
+                bounds.append(lo)
+            if hi - lo > cap:
+                bounds += range(lo + _BLOCK_ENTRIES, hi, _BLOCK_ENTRIES)
+                bounds.append(hi)
+    if bounds[-1] < edges[-1]:
+        bounds.append(edges[-1])
+    return bounds, np.repeat(edges[1:], np.diff(index.layer_bounds))
+
+
 def _solve_buckets(best, imap, row_of, index, deadline):
     """Bucketed label-setting pass (Dial's algorithm) over the table best of
     _dense_seeds, in place.
@@ -964,24 +909,28 @@ def _solve_buckets(best, imap, row_of, index, deadline):
     Settles entries bucket by bucket in value order 0, 1, 2, ...: once
     bucket k is done, every entry whose value is at most k is final, so
     "settled" means value <= k and the one relaxed array is the table.  A
-    slot is settled once one of its entries is.  Bucket k starts from the
-    slots with an entry at k and repeats one kind of round until no entry
-    drops to k: mark the round's slots settled, and offer the split sums of
-    every record that lists one of them as a child and has both children
-    settled (index.child_records); the next round's slots are those where
-    an entry dropped to k.  Then the recolour rule offers to later buckets.
+    slot is settled once one of its entries is.  Bucket k is one upward pass
+    over the split records, which are stored in layer order, in windows:
+    each window offers the split sums of its records that have both
+    children settled and a child with an entry at k, then rescans its
+    records above the slots where an entry dropped to k, until none does.
+    The pass starts at the first layer above the lowest slot at k: no
+    earlier record has a child at k.  Then the recolour rule offers to
+    later buckets.
 
     Offers read the table, so one may add a settled slot's tentative entry.
     A tentative value is the value of some derivation, so no offer goes
     below an entry's final value.  Every split still reaches its parent
     with both children final.  Take a split sum a + b, a >= b, that is the
-    final value of a parent entry.  The child entry with value a reaches a
-    at the start of bucket a or by a drop in one of its rounds, so its slot
-    is in a round of bucket a.  In that round the other child's entry
-    already holds b and its slot is settled; if b = a, the later of the two
-    rounds is the one that counts.  So the record is offered with both
-    final values: b = 0 puts the parent into bucket a, and b >= 1 into a
-    later bucket, which reads it at its start.
+    final value of a parent entry.  In bucket a, the record lies above both
+    children's layers.  The child entry with value a holds a at the start
+    of the bucket, or drops to a when the records of its own layer are
+    offered: in an earlier window, or in the record's own, whose rescan
+    follows the drop.  The other child's entry holds b by then, or reaches
+    a the same way if b = a.  So when the record's window is scanned or
+    rescanned, both child entries are final and their slots marked, and the
+    record is offered with both final values: b = 0 puts the parent into
+    bucket a, and b >= 1 into a later bucket, which reads it at its start.
     """
     # Slot-major, (slot, colour, ignore set): a split record gathers its
     # children as two rows of entries.  The bucket starts read the table a
@@ -990,48 +939,29 @@ def _solve_buckets(best, imap, row_of, index, deadline):
     rows = max(1, _BLOCK_ENTRIES // flat_best.shape[1])
     blocks = [flat_best[a:a + rows] for a in range(0, len(flat_best), rows)]
     rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
-    child_start, child_recs = index.child_records(deadline)
-    size = _OFFER_RECORDS
-    settled = np.zeros(len(index.slot_sid), dtype=bool)
-    listed = np.zeros(len(rec_left), dtype=bool)
-    # Child lists are gathered in pieces of slots that list at most size
-    # records.
-    per_child = np.diff(child_start)
-    piece = max(1, size // max(1, int(per_child.max(initial=0))))
+    bounds, above = _windows(index, rows)
+    # Slot states: 0 unsettled, 1 settled, 3 holds an entry at k, 2 dropped
+    # to k in the window's last offer.  A record with children in states x
+    # and y is offered if x * y >= 3, and on a rescan if x * y is even and
+    # positive, that is, a child is at 2.
+    state = np.zeros(len(index.slot_sid), dtype=np.uint8)
 
-    def offer(recs, k, dropped):
-        """Offer the split sums of recs, ascending ids, and mark in dropped
-        the slots where an entry dropped to k."""
+    def offer(a, b, k, rescan):
+        """Offer the split sums of the records a:b that pass the state
+        test; return the slots where an entry dropped to k, ascending."""
+        # take gathers about twice as fast as an index here.
+        prod = state.take(rec_left[a:b]) * state.take(rec_right[a:b])
+        recs = (((prod & 1) == 0) & (prod > 0) if rescan else prod >= 3).nonzero()[0]
+        if not len(recs):
+            return recs
+        recs += a
         # Slot first + p owns recs[at[p]:at[p + 1]].
         first, last = rec_start.searchsorted(recs[[0, -1]], "right") - 1
         at = recs.searchsorted(rec_start[first:last + 2])
         owned = (at[1:] != at[:-1]).nonzero()[0]
         parents = owned + first
-        dropped[parents] |= _lower_by_splits(flat_best, rec_left[recs], rec_right[recs],
-                                             parents, at[owned], deadline, k)
-
-    def offer_round(new, k):
-        """Offer the split sums of every record with a child in new and
-        both children settled; return the slots where an entry dropped to
-        k."""
-        slots = new.nonzero()[0]
-        for a in range(0, len(slots), piece):
-            part = slots[a:a + piece]
-            listed[child_recs[_ranges(child_start[part], per_child[part])]] = True
-        dropped = np.zeros(len(new), dtype=bool)
-        # Listed ids are read a window at a time, and offered in batches.
-        pending = np.empty(0, dtype=np.intp)
-        for lo in range(0, len(listed), size):
-            recs = listed[lo:lo + size].nonzero()[0]
-            recs += lo
-            listed[recs] = False
-            recs = recs[settled[rec_left[recs]] & settled[rec_right[recs]]]
-            pending = np.concatenate([pending, recs])
-            end = lo + size >= len(listed)
-            while len(pending) >= size or end and len(pending):
-                offer(pending[:size], k, dropped)
-                pending = pending[size:]
-        return dropped
+        return parents[_lower_by_splits(flat_best, rec_left.take(recs), rec_right.take(recs),
+                                        parents, at[owned], deadline, k)]
 
     k = -1
     while True:
@@ -1039,10 +969,20 @@ def _solve_buckets(best, imap, row_of, index, deadline):
         k = min(int(block.min(where=block > k, initial=INF)) for block in blocks)
         if k >= INF:
             break
+        state[state == 3] = 1
         new = np.concatenate([(block == k).any(axis=1) for block in blocks])
-        while new.any():
-            settled |= new
-            new = offer_round(new, k)
+        state[new] = 3
+        start = above[new.argmax()]
+        for w in range(bisect.bisect_right(bounds, start) - 1, len(bounds) - 1):
+            _check_deadline(deadline)
+            a, b = max(bounds[w], start), bounds[w + 1]
+            dropped = offer(a, b, k, False)
+            while len(dropped):
+                state[dropped] = 2
+                a = above[dropped[0]]
+                again = offer(a, b, k, True) if a < b else dropped[:0]
+                state[dropped] = 3
+                dropped = again
         _recolour(best, imap, row_of, deadline)
 
 

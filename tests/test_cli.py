@@ -165,6 +165,15 @@ def test_verify_random_compares_the_worklist_table(monkeypatch, capsys):
     assert "FAIL random 5 boards" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [("2", "0", "3"), ("2", "3", "0"), ("-1", "3", "3"),
+                                  ("0", "3", "3")])
+def test_verify_random_rejects_counts_below_one(args, capsys):
+    assert main(["verify", "--random", *args]) == 1
+    captured = capsys.readouterr()
+    assert "usage error: --random needs" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_verify_requires_a_suite(capsys):
     assert main(["verify"]) == 1
 

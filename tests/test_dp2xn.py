@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import time
@@ -325,28 +326,51 @@ def test_slots_are_numbered_in_layer_order(n):
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_child_lists_name_every_record_under_both_children(n):
+def test_windows_reach_every_record_from_both_children(n, monkeypatch):
+    # A worklist scan for the records of child slot s starts at above[s]:
+    # every record lies at or after above of both children, and the records
+    # before above[s] have parents in s's layer or below.  Windows cover the
+    # records in order, each whole layers of at most cap records or a piece
+    # of one layer of at most _BLOCK_ENTRIES.
     index = dp2xn._SectionIndex(n)
-    start, recs = index.child_records()
-    assert start[0] == 0 and (np.diff(start) >= 0).all() and start[-1] == len(recs)
-    slots, records = len(index.slot_sid), len(index.rec_left)
-    child = np.repeat(np.arange(slots), np.diff(start))
-    # (child slot, record) pairs, each side once.
-    got = np.sort(child * records + recs)
-    ids = np.arange(records)
-    want = np.sort(np.r_[index.rec_left.astype(np.int64) * records + ids,
-                         index.rec_right.astype(np.int64) * records + ids])
-    assert np.array_equal(got, want)
-    assert index.child_records() is index.child_records()
+    records = len(index.rec_left)
+    parents = np.repeat(np.arange(len(index.slot_sid)), np.diff(index.rec_start))
+    layer = np.repeat(np.arange(len(index.layer_bounds) - 1), np.diff(index.layer_bounds))
+    edges = index.rec_start[index.layer_bounds]
+    for block, cap in ((1 << 18, 8192), (64, 16), (64, 64)):
+        monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", block)
+        bounds, above = dp2xn._windows(index, cap)
+        ids = np.arange(records)
+        assert (ids >= above[index.rec_left]).all() and (ids >= above[index.rec_right]).all()
+        assert np.array_equal(above, edges[layer + 1])
+        assert bounds[0] == 0 and bounds[-1] == records
+        assert all(a < b for a, b in zip(bounds[:-1], bounds[1:]))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            whole = a in edges and b in edges
+            one_layer = layer[parents[a]] == layer[parents[b - 1]]
+            assert (whole and b - a <= cap) or (one_layer and b - a <= block), (a, b)
 
 
-def test_reference_solve_leaves_child_lists_unbuilt(monkeypatch):
+def _same(a, b):
+    """Deep equality of index attributes: arrays by dtype, shape and values."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    return a == b
+
+
+def test_worklist_solve_leaves_the_index_as_a_reference_solve_does(monkeypatch):
     monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
     board = random_board(random.Random(64), 7, 4)
-    _, table = solve(board, mode="reference")
-    assert table._index._children is None
-    _, table = solve(board, mode="worklist")
-    assert table._index._children is not None
+    index = solve(board, mode="reference")[1]._index
+    after_reference = copy.deepcopy(vars(index))
+    assert solve(board, mode="worklist")[1]._index is index
+    assert vars(index).keys() == after_reference.keys()
+    for name, value in vars(index).items():
+        assert _same(value, after_reference[name]), name
 
 
 def test_index_over_record_cap_is_refused_and_not_cached(monkeypatch):
@@ -404,36 +428,11 @@ def test_time_budget_is_honoured_promptly(monkeypatch):
     assert board.n not in dp2xn._INDEX_CACHE
 
 
-def test_child_list_build_honours_the_time_budget(monkeypatch):
-    # The index is warm but its child lists are not built: the budget runs
-    # out while the worklist solve builds them (0.21-0.25 s at this width on
-    # a 2-core x86-64 host), and the unfinished lists are not kept.
-    monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
-    board = random_board(random.Random(50), 50, 4)
-    index = dp2xn._get_index(board.n)
-    entered = []
-    build = dp2xn._SectionIndex.child_records
-
-    def spy(self, deadline=None):
-        entered.append(deadline)
-        return build(self, deadline)
-
-    monkeypatch.setattr(dp2xn._SectionIndex, "child_records", spy)
-    start = time.monotonic()
-    with pytest.raises(BudgetExceededError):
-        solve(board, mode="worklist", time_budget=0.1)
-    assert time.monotonic() - start < 1.5
-    assert entered and entered[0] is not None
-    assert index._children is None
-
-
 @pytest.mark.parametrize("mode", ["reference", "worklist"])
 def test_pass_time_budget_is_honoured_promptly(mode):
     # The index for this width is built first, so the budget runs out inside
-    # the pass itself, or in the worklist's child lists if they are not yet
-    # built.  Measured on a 2-core x86-64 host: the structural-order pass
-    # takes 0.25-0.30 s here, the child lists 0.09-0.11 s and the bucketed
-    # pass 1.37-1.42 s.
+    # the pass itself.  Measured on a 2-core x86-64 host: the structural-order
+    # pass takes 0.13-0.21 s here and the bucketed pass 0.44-0.70 s.
     board = random_board(random.Random(40), 40, 4)
     dp2xn._get_index(board.n)
     start = time.monotonic()
@@ -453,19 +452,40 @@ def test_reference_table_equals_bucketed_worklist():
 
 
 def test_split_kernel_blocks_and_offers_do_not_change_tables(monkeypatch):
-    # One table row per gather block and a few records per offer, so that
-    # every kernel call runs many blocks and a worklist round many offers,
-    # against the tables at the default sizes.
+    # One table row per gather block, so that every kernel call runs many
+    # blocks and every worklist window holds one record, against the tables
+    # at the default sizes.
     rng = random.Random(1010)
     boards = [random_board(rng, rng.randint(2, 6), rng.randint(2, 4)) for _ in range(12)]
     modes = ("reference", "worklist")
     expected = {mode: [solve(board, mode=mode)[1]._dense for board in boards] for mode in modes}
     monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(dp2xn, "_OFFER_RECORDS", 8)
     monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
     for mode in modes:
         for board, dense in zip(boards, expected[mode]):
             assert np.array_equal(solve(board, mode=mode)[1]._dense, dense), (mode, board.cells)
+
+
+def test_windows_that_merge_layers_or_cut_one_do_not_change_tables(monkeypatch):
+    # With 2 colours on the board a row holds 4 entries, so blocks of 1,100
+    # entries make the 2x8 layers of 30 and 84 records one worklist window,
+    # whose drops only the window's rescan follows, and cut the layers of
+    # more than 1,100 records into pieces.
+    rng = random.Random(1040)
+    boards = [random_board(rng, 8, 2) for _ in range(8)]
+    reference = [solve(board, mode="reference")[1]._dense for board in boards]
+    default = [solve(board, mode="worklist")[1]._dense for board in boards]
+    block = 1100
+    monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", block)
+    index = dp2xn._get_index(8)
+    per_layer = np.diff(index.rec_start[index.layer_bounds])
+    assert per_layer[1] + per_layer[2] <= block // 4 < per_layer[1:4].sum()
+    assert per_layer.max() > block
+    for board, want, dense in zip(boards, reference, default):
+        table = solve(board, mode="worklist")[1]
+        assert table._values[0].size == 4
+        assert np.array_equal(table._dense, dense), board.cells
+        assert np.array_equal(dense, want), board.cells
 
 
 def test_blocks_that_cut_a_parents_records_do_not_change_tables(monkeypatch):
