@@ -116,7 +116,8 @@ def _cmd_solve(args) -> int:
     try:
         if method == "dp":
             value, table = dp2xn.solve(board, target=target, time_budget=args.time_budget)
-            stats = table.stats().__dict__
+            if args.json:
+                stats = table.stats().__dict__
             if args.emit_sequence:
                 moves = dp2xn.reconstruct(table)
         else:

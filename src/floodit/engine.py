@@ -124,18 +124,37 @@ def component_of(g: ColouredGraph, vertex: int) -> list:
     return sorted(seen)
 
 
-def mono_components(g: ColouredGraph) -> list:
-    """Partition of the vertices into maximal same-coloured connected blocks."""
-    assigned = [False] * g.num_vertices
+def colouring_components(colouring: Sequence[int], adjacency) -> list:
+    """Monochromatic components of a raw colouring vector over `adjacency`.
+
+    Blocks come in order of their least vertex, which each lists first; the
+    rest of a block is in search order.
+    """
+    n = len(colouring)
+    assigned = [False] * n
     blocks = []
-    for v in range(g.num_vertices):
+    for v in range(n):
         if assigned[v]:
             continue
-        block = component_of(g, v)
-        for u in block:
-            assigned[u] = True
-        blocks.append(block)
+        colour = colouring[v]
+        assigned[v] = True
+        members = [v]
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for u in adjacency[x]:
+                if not assigned[u] and colouring[u] == colour:
+                    assigned[u] = True
+                    members.append(u)
+                    stack.append(u)
+        blocks.append(members)
     return blocks
+
+
+def mono_components(g: ColouredGraph) -> list:
+    """Partition of the vertices into maximal same-coloured connected blocks,
+    in order of their least vertex, each sorted."""
+    return [sorted(block) for block in colouring_components(g.colouring, g.adjacency)]
 
 
 def apply_move(g: ColouredGraph, move: Move) -> ColouredGraph:

@@ -103,15 +103,6 @@ def random_covering_pair(rng: random.Random, g: ColouredGraph):
         if part_b and not any(u in part_b for u in g.adjacency[v]) and v not in part_b:
             part_b |= _path_to(g, v, part_b)
         part_b.add(v)
-    # _path_to already guarantees connectivity of part_b per insertion order;
-    # fall back to including bridging vertices if it is still split.
-    while True:
-        comp = _component(g, next(iter(part_b)), part_b)
-        if comp == part_b:
-            break
-        outside = part_b - comp
-        v = next(iter(outside))
-        part_b |= _path_to(g, v, comp)
     return sorted(part_a), sorted(part_b)
 
 
@@ -134,15 +125,3 @@ def _path_to(g: ColouredGraph, v: int, targets: set) -> set:
         out.add(hit)
         hit = prev[hit]
     return out
-
-
-def _component(g: ColouredGraph, start: int, inside: set) -> set:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in g.adjacency[v]:
-            if u in inside and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen

@@ -3,7 +3,8 @@
 `min_moves` is an exact search over colouring vectors, meant for small
 instances.  A move recolours one monochromatic component; moves are
 generated once per (component, colour), and `prune_non_merging` keeps only
-colours that occur next to the component.
+colours that occur next to the component.  A flood of the wrong colour is
+an ordinary state whose one move recolours the whole board to the target.
 
 Search order.  States are expanded best-first by f = g + h, where g is a
 state's depth (moves from the start) and h the lower bound (colours present
@@ -11,32 +12,23 @@ state's depth (moves from the start) and h the lower bound (colours present
 its h being smaller, and then the one queued first.  On a board with two
 colours every unflooded state has h = 1, so the order is breadth-first.
 
-Why this is exact.  h is consistent.  A move recolours one component, so
-only its old colour can leave the board and the colour count falls by at
-most one.  The target term falls only when the move brings the absent
-target in, and then the count does not fall.  So h falls by at most one
-per move, and f never falls along a path.  States leave the queue in order of
-increasing f, and each at its least depth: a state reached again at a
-smaller depth is queued again with the new parent, and a queued entry
-whose depth is no longer the state's least is skipped when it leaves.  So
-each state is expanded at most once.  An expanded state of key f is not
-flooded, so h >= 1 and its children have f' >= f and, when flooded
-with the right colour (h = 0), g + 1 <= f, hence exactly f.  Every
-solution of length L passes only through states with f <= L, and no state
-with f below the popped one is left, so the first right-coloured flood
-generated is optimal.  A flood of the wrong colour needs one more move, a
-recolour of the whole board: it only lowers the incumbent to depth + 2.
-
-The incumbent.  The greedy sequence of `greedy_upper_bound` is a real
-solution, so the search looks only for something strictly shorter: it stops
-when the least f in the queue reaches the incumbent's length and drops every
-child whose f does.  The greedy sequence is the answer when nothing shorter
-exists.  The value never depends on the incumbent's quality: when it is
-not optimal, the states of an optimal solution all have f at most the
-optimum, below the incumbent, and none is dropped.  Its quality changes
-only the work.  States with f below the optimum are expanded whatever it
-is; an optimal incumbent ends the search before the states with f equal
-to the optimum, and a longer one lets more children into the queue.
+Why this is exact.  h is 0 exactly on the goals, the floods (of the target
+colour, if one is given), and it is consistent.  A move recolours one component, so only its
+old colour can leave the board and the colour count falls by at most one.
+The target term falls only when the move brings the absent target in, and
+then the count does not fall; the final recolour of a wrong-coloured flood
+takes h from 1 to 0.  So h falls by at most one per move, and f never falls
+along a path.  States leave the queue in order of increasing f, and each at
+its least depth: a state reached again at a smaller depth is queued again
+with the new parent, and a queued entry whose depth is no longer the
+state's least is skipped when it leaves.  So each state is expanded at most
+once.  A popped state of key f is not a goal, so h >= 1, and a child with
+h = 0 has depth + 1 <= f, hence exactly f.  Every solution of length L
+passes only through states with f <= L, and no queued state has a smaller f
+than the popped one, so the first goal generated is optimal.  The queue
+cannot empty first: an unflooded state has a component with an allowed
+mover and a neighbour of another colour, and a wrong-coloured flood has its
+recolour to the target.
 
 Budgets.  `states_explored` counts expanded states, not generated ones.
 `SearchBudget.max_states` bounds that count and `SearchBudget.max_seconds`
@@ -51,7 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .engine import ColouredGraph, Move, induced_subgraph, replay
+from .engine import ColouredGraph, Move, colouring_components, induced_subgraph, replay
 from .errors import EnumerationLimitError, InputError
 
 
@@ -80,62 +72,6 @@ class MinMovesResult:
         return self.status == "exact"
 
 
-def _components_of(colouring, adjacency):
-    """Monochromatic components of a raw colouring vector."""
-    n = len(colouring)
-    comp = [-1] * n
-    comps = []
-    for v in range(n):
-        if comp[v] >= 0:
-            continue
-        cid = len(comps)
-        colour = colouring[v]
-        members = [v]
-        comp[v] = cid
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for u in adjacency[x]:
-                if comp[u] < 0 and colouring[u] == colour:
-                    comp[u] = cid
-                    members.append(u)
-                    stack.append(u)
-        comps.append(members)
-    return comps, comp
-
-
-def greedy_upper_bound(
-    g: ColouredGraph,
-    target: Optional[int] = None,
-    allowed_vertices: Optional[Iterable[int]] = None,
-) -> list:
-    """A valid (not optimal) flooding sequence, used as a pruning bound."""
-    allowed = set(range(g.num_vertices)) if allowed_vertices is None else set(allowed_vertices)
-    adjacency = g.adjacency
-    colouring = list(g.colouring)
-    moves = []
-    anchor = min(allowed)
-    while True:
-        comps, comp_of = _components_of(colouring, adjacency)
-        if len(comps) == 1:
-            break
-        # Grow the component holding the anchor by its most common
-        # neighbouring colour.
-        home = comp_of[anchor]
-        counts = {}
-        for v in comps[home]:
-            for u in adjacency[v]:
-                if comp_of[u] != home:
-                    counts[colouring[u]] = counts.get(colouring[u], 0) + 1
-        colour = max(counts, key=lambda c: (counts[c], -c))
-        moves.append(Move(anchor, colour))
-        for v in comps[home]:
-            colouring[v] = colour
-    if target is not None and colouring[0] != target:
-        moves.append(Move(anchor, target))
-    return moves
-
-
 def min_moves(
     g: ColouredGraph,
     target: Optional[int] = None,
@@ -150,8 +86,8 @@ def min_moves(
     the module docstring describes; one representative move per (component,
     colour).  `prune_non_merging` drops moves that do not merge components,
     which preserves optimality (a non-merging move can always be deferred to
-    the point where it does merge); the final recolour-only move of the
-    targeted variant is handled separately.
+    the point where it does merge).  A flood of the wrong colour has one
+    move, to `target`, at its first allowed vertex.
     """
     if budget is None:
         budget = SearchBudget()
@@ -172,48 +108,37 @@ def min_moves(
     if budget.max_seconds is not None:
         deadline = time.monotonic() + budget.max_seconds
 
-    ub_moves = greedy_upper_bound(g, target, allowed)
+    def bound(state):
+        """Moves still needed: (colours present - 1) + [target absent]."""
+        present = set(state)
+        h = len(present) - 1
+        if target is not None and target not in present:
+            h += 1
+        return h
 
     start = tuple(g.colouring)
-    if len(set(start)) == 1:
-        if target is None or start[0] == target:
-            return MinMovesResult("exact", 0, [], 0)
-        fix = Move(min(allowed) if allowed else 0, target)
-        return MinMovesResult("exact", 1, [fix], 0)
-
-    # The greedy sequence is a real solution; the search only has to look
-    # for something strictly shorter: no f at or above best_value is queued.
-    best_value = len(ub_moves)
-    best_state = None
-    best_extra = None  # final recolour move for a wrong-coloured flood
+    h = bound(start)
+    if h == 0:
+        return MinMovesResult("exact", 0, [], 0)
     # state -> (least depth reached so far, parent state, mover, colour)
     reached = {start: (0, None, None, None)}
-    lb = len(set(start)) - 1
-    if target is not None and target not in start:
-        lb += 1
     # (f, -depth, arrival, state): least f first, then the deeper state,
     # then the one queued first.
-    queue = [(lb, 0, 0, start)]
+    queue = [(h, 0, 0, start)]
     queued = 0
     explored = 0
 
-    def build_witness():
-        if best_state is None:
-            return list(ub_moves)
+    def witness(goal):
         moves = []
-        cur = best_state
+        cur = goal
         while cur != start:
             _depth, cur, mover, colour = reached[cur]
             moves.append(Move(mover, colour))
         moves.reverse()
-        if best_extra is not None:
-            moves.append(best_extra)
         return moves
 
-    while queue:
-        f, neg_depth, _arrival, state = heapq.heappop(queue)
-        if f >= best_value:
-            break  # nothing left can beat the best known solution
+    while True:
+        _f, neg_depth, _arrival, state = heapq.heappop(queue)
         depth = -neg_depth
         if reached[state][0] < depth:
             continue  # queued again since, at a smaller depth
@@ -226,7 +151,7 @@ def min_moves(
             return MinMovesResult(
                 "unknown", None, None, explored, reason="time budget exhausted"
             )
-        comps, _comp_of = _components_of(state, adjacency)
+        comps = colouring_components(state, adjacency)
         for members in comps:
             if allowed is not None:
                 movers = [v for v in members if v in allowed]
@@ -236,7 +161,9 @@ def min_moves(
             else:
                 mover = members[0]
             own = state[mover]
-            if prune_non_merging:
+            if len(comps) == 1:
+                colours = (target,)  # a wrong-coloured flood
+            elif prune_non_merging:
                 colours = set()
                 for v in members:
                     for u in adjacency[v]:
@@ -252,37 +179,14 @@ def min_moves(
                 known = reached.get(nstate)
                 if known is not None and known[0] <= depth + 1:
                     continue
-                present = set(nstate)
-                if len(present) == 1:  # flooded, with the move's colour
-                    if target is None or colour == target:
-                        # Its f is the popped f, and no state with a lower
-                        # f is left: the first hit is optimal.
-                        reached[nstate] = (depth + 1, state, mover, colour)
-                        best_state = nstate
-                        best_extra = None
-                        return MinMovesResult(
-                            "exact", depth + 1, build_witness(), explored
-                        )
-                    if depth + 2 < best_value:
-                        reached[nstate] = (depth + 1, state, mover, colour)
-                        best_value = depth + 2
-                        best_state = nstate
-                        best_extra = Move(
-                            min(allowed) if allowed else 0, target
-                        )
-                    continue
-                # Flooding still needs >= (#colours present - 1) moves.
-                lb = len(present) - 1
-                if target is not None and target not in present:
-                    lb += 1
-                if depth + 1 + lb >= best_value:
-                    continue
                 reached[nstate] = (depth + 1, state, mover, colour)
+                h = bound(nstate)
+                if h == 0:
+                    # Its f is the popped f, and no queued state has a
+                    # lower f: the first goal generated is optimal.
+                    return MinMovesResult("exact", depth + 1, witness(nstate), explored)
                 queued += 1
-                heapq.heappush(queue, (depth + 1 + lb, -depth - 1, queued, nstate))
-
-    # Search exhausted everything that could beat the best known solution.
-    return MinMovesResult("exact", best_value, build_witness(), explored)
+                heapq.heappush(queue, (depth + 1 + h, -depth - 1, queued, nstate))
 
 
 class TreeView:

@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from floodit import oracle
 from floodit.board import Board2xN, board_from_tokens, to_graph
 from floodit.engine import ColouredGraph, Move, colours_present, replay
 from floodit.errors import EnumerationLimitError, InputError
@@ -56,6 +55,8 @@ def test_targeted_result_ends_in_target():
 def test_wrong_colour_mono_costs_one():
     g = ColouredGraph([[1], [0]], [0, 0], ("a", "b"))
     assert min_moves(g, target=1).value == 1
+    res = min_moves(g, target=1, allowed_vertices=[1])
+    assert res.value == 1 and res.witness == [Move(1, 1)]
 
 
 def test_restricting_vertices_never_decreases():
@@ -153,36 +154,19 @@ def test_colouring_reached_again_at_smaller_depth(adjacency, colouring, palette,
     assert validate_witness(g, res, target)
 
 
-def test_value_does_not_depend_on_the_incumbent(monkeypatch):
-    """A long valid incumbent changes no value: the anchor's component
-    absorbs the vertices one at a time in breadth-first order."""
-    def long_sequence(g, target=None, allowed_vertices=None):
-        anchor = 0 if allowed_vertices is None else min(allowed_vertices)
-        order, seen = [anchor], {anchor}
-        for v in order:
-            for u in g.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
-        moves = [Move(anchor, g.colouring[v]) for v in order[1:]]
-        if target is not None:
-            moves.append(Move(anchor, target))
-        return moves
-
-    rng = random.Random(5)
-    cases = []
-    for _ in range(40):
-        board = random_board(rng, rng.randint(3, 5), rng.randint(2, 4))
-        g = to_graph(board)
-        for target in (None, rng.randrange(len(board.palette))):
-            cases.append((g, target, min_moves(g, target=target).value))
-    monkeypatch.setattr(oracle, "greedy_upper_bound", long_sequence)
-    for g, target, want in cases:
-        final, flooded = replay(g, long_sequence(g, target))
-        assert flooded and (target is None or final.colouring[0] == target)
-        assert len(long_sequence(g, target)) >= want
-        res = min_moves(g, target=target)
-        assert res.value == want and validate_witness(g, res, target)
+def test_restricted_witness_moves_only_at_allowed_vertices():
+    """Every move of a restricted search is made at an allowed vertex, also
+    the final recolour of a flood when the target is absent from the graph."""
+    rng = random.Random(23)
+    for _ in range(100):
+        colours = rng.randint(2, 4)
+        g = random_connected_graph(rng, rng.randint(2, 7), colours - 1)
+        g = ColouredGraph(g.adjacency, g.colouring, tuple("abcd"[:colours]))
+        allowed = set(rng.sample(range(g.num_vertices), rng.randint(1, g.num_vertices)))
+        for target in (None, *range(colours)):
+            res = min_moves(g, target=target, allowed_vertices=allowed)
+            assert validate_witness(g, res, target)
+            assert all(move.vertex in allowed for move in res.witness)
 
 
 def test_budget_exhaustion_is_explicit():
