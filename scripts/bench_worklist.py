@@ -3,15 +3,18 @@
     python scripts/bench_worklist.py LABEL=SRC_DIR LABEL=SRC_DIR [--runs 5]
 
 Each SRC_DIR holds a `floodit` package (the `src/` of a checkout).  Every
-measurement is a fresh process that solves one board with
-`dp2xn.solve(board, mode=MODE)`, section index build included, and reports
-the wall time of that call, `ru_maxrss` of the process and the md5 of the
-solved table, expanded to (colour, ignore set, slot) over every palette
-colour and every subset of the board's colours (the peak is read before the
-expansion).  A round runs every board in both modes, "reference" and
-"worklist", once per tree, and rounds alternate which tree runs first.
-Prints one JSON row per tree: per board and mode, the medians, the solve
-time's first and third quartiles and every run.
+measurement is a fresh process that builds the board width's section index
+with `dp2xn._get_index(n)`, then solves one board with
+`dp2xn.solve(board, mode=MODE)`.  It reports the index build's wall time
+(index_s), the wall time of both together (solve_s, comparable with rows
+that timed the solve with the index build inside), `ru_maxrss` of the
+process and the md5 of the solved table, expanded to (colour, ignore set,
+slot) over every palette colour and every subset of the board's colours
+(the peak is read before the expansion).  A round runs every board in both
+modes, "reference" and "worklist", once per tree, and rounds alternate
+which tree runs first.
+Prints one JSON row per tree: per board and mode, the medians, the first
+and third quartiles of both times and every run.
 
 Boards: the acceptance criterion's 2x60 board with 4 colours, and a 2x10
 board with 11 of 16 palette colours (48.4M table entries), where the
@@ -38,13 +41,15 @@ else:
     rng.shuffle(cells)
     board = Board2xN(10, (tuple(cells[:10]), tuple(cells[10:])), colour_tokens(16))
 start = time.perf_counter()
+dp2xn._get_index(board.n)
+index_seconds = time.perf_counter() - start
 value, table = dp2xn.solve(board, mode=sys.argv[2])
 seconds = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 # (colour, ignore set, slot) over every palette colour and every subset of
 # the board's colours, whatever layout the solver stores.
 full = np.ascontiguousarray(table._dense.transpose(1, 2, 0))
-print(value, seconds, peak, hashlib.md5(full.tobytes()).hexdigest())
+print(value, seconds, index_seconds, peak, hashlib.md5(full.tobytes()).hexdigest())
 """
 
 BOARDS = ("2x60_4c", "2x10_11of16c")
@@ -54,7 +59,8 @@ MODES = ("reference", "worklist")
 def measure(src, board, mode):
     out = run_child(src, CHILD, board, mode).split()
     return {"value": int(out[0]), "solve_s": round(float(out[1]), 3),
-            "peak_rss_mb": round(float(out[2]), 1), "md5": out[3]}
+            "index_s": round(float(out[2]), 3), "peak_rss_mb": round(float(out[3]), 1),
+            "md5": out[4]}
 
 
 def quartiles(xs):
@@ -76,13 +82,17 @@ def main(argv):
         row = {"revision": label, "runs": runs}
         for (board, mode), got in results[label].items():
             seconds = [g["solve_s"] for g in got]
+            index_seconds = [g["index_s"] for g in got]
             row.setdefault(board, {})[mode] = {
                 "value": got[0]["value"],
                 "md5": sorted({g["md5"] for g in got}),
                 "solve_s_median": statistics.median(seconds),
                 "solve_s_quartiles": quartiles(seconds),
+                "index_s_median": statistics.median(index_seconds),
+                "index_s_quartiles": quartiles(index_seconds),
                 "peak_rss_mb_median": statistics.median(g["peak_rss_mb"] for g in got),
                 "solve_s": seconds,
+                "index_s": index_seconds,
                 "peak_rss_mb": [g["peak_rss_mb"] for g in got],
             }
         print(json.dumps(row))

@@ -1,0 +1,52 @@
+"""Section index arrays of two source trees, compared width by width.
+
+    python scripts/index_digest.py LABEL=SRC_DIR LABEL=SRC_DIR
+
+Each SRC_DIR holds a `floodit` package (the `src/` of a checkout).  One
+fresh process per tree builds `dp2xn._SectionIndex(n)` for every width n
+from 1 to 60 and prints the dtype, shape and md5 of each array in ARRAYS.
+Prints every (width, array) whose digest differs between the trees, or
+that all are identical; exits 1 if any differs.
+"""
+
+import sys
+
+from benchpair import run_child
+
+ARRAYS = ("rec_start", "rec_left", "rec_right", "slot_sid", "slot_of", "slot_ends",
+          "layer_bounds", "seed_cells", "seed_slot")
+
+CHILD = r"""
+import hashlib, sys
+from floodit import dp2xn
+for n in range(1, 61):
+    index = dp2xn._SectionIndex(n)
+    for name in sys.argv[1:]:
+        a = getattr(index, name)
+        shape = "x".join(map(str, a.shape))
+        print(n, name, a.dtype, shape, hashlib.md5(a.tobytes()).hexdigest())
+"""
+
+
+def main(argv):
+    sides = [side.split("=", 1) for side in argv]
+    if len(sides) < 2 or any(len(side) != 2 for side in sides):
+        sys.exit(__doc__)
+    digests = {label: run_child(src, CHILD, *ARRAYS).splitlines() for label, src in sides}
+    (first, base), *others = digests.items()
+    differ = False
+    for label, lines in others:
+        for want, got in zip(base, lines):
+            if want != got:
+                differ = True
+                print(f"{first}: {want}\n{label}: {got}")
+        if len(base) != len(lines):
+            differ = True
+            print(f"{first}: {len(base)} digests, {label}: {len(lines)}")
+    if not differ:
+        print(f"identical: {len(base)} digests (widths 1-60, {', '.join(ARRAYS)})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

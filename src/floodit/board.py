@@ -8,7 +8,10 @@ position where it meets the top edge (t) and the bottom edge (b), both in
 This module is the one home of the geometry: which border pairs bound a
 section, which cells touch a border, which edges a border cuts.  The rules
 are element-wise: one expression evaluates on Python ints and on the numpy
-arrays of dp2xn's section index.  They combine comparisons with & and |,
+arrays of dp2xn's section index, which evaluates the section and end-cell
+rules.  The index derives its split records from slots (dp2xn's lemmas
+"split edges" and "split parents"); crossing_edges stays the definition
+the tests check them against.  The rules combine comparisons with & and |,
 never ~, which turns True into -2.
 """
 

@@ -233,8 +233,11 @@ def _cmd_verify(args) -> int:
             value, table = dp2xn.solve(board)
             vwl, twl = dp2xn.solve(board, mode="worklist")
             exact = oracle.min_moves(to_graph(board))
+            if not exact.is_exact:
+                print(f"error: search budget exhausted ({exact.reason})", file=sys.stderr)
+                return EXIT_CAPACITY
             # Both tables come from the same index: equal arrays, equal entries.
-            if (not exact.is_exact or exact.value != value or vwl != value
+            if (exact.value != value or vwl != value
                     or not np.array_equal(table._dense, twl._dense)):
                 ok = False
                 break

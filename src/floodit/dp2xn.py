@@ -16,12 +16,15 @@ monotone rules relax the rest:
   recolour rule   value(d, I)  <=  1 + min_d' value(d', I + {d})
   split rule      value        <=  value(left part) + value(right part)
                   over every border strictly between the section's borders
-                  and every section edge crossing it
+                  and every edge it cuts that joins the left part's end
+                  cell to the right part's
 
 The board answer is the best full-board entry with an empty ignore set.
 
 The geometry comes from board: the section index evaluates its element-wise
-rules for sections, end cells and cut edges over numpy arrays.
+rules for sections and end cells over numpy arrays.  Split records follow
+from the slots (lemmas "split edges" and "split parents" below);
+board.crossing_edges stays the definition the tests check them against.
 
 Low-skew index.  Only borders (t, b) with |t - b| <= 1 are used, for
 sections and for split borders alike.  The full board's borders (0, 0) and
@@ -123,6 +126,41 @@ and (1, 2), must lie on the path.  Off (0, 0), (0, 1) has only r1 and r2
 for path neighbours, so the path is r1, (0, 1), r2 and misses (1, 2).
 tests/test_dp2xn.py checks every shape of seven or more cells up to width
 60, and this example, against tree_exists.
+
+Lemma (split edges).  Let slots (i, k; a, a') and (k, j; b', b) be the left
+and right child of a split at border k = (p_0, p_1) between the parent's
+borders i and j: k meets row r at column p_r.  A record over k and edge e
+exists iff both child slots exist, with (a', b') = (0, 0) for the top-row
+edge, (1, 1) for the bottom-row edge and, only when p_0 != p_1, (c, 1 - c)
+for the run column's edge, c = 1 where p_0 < p_1, else 0.
+Proof.
+  1. At k, the left child's end cell in row r is (r, p_r - 1) and the right
+     child's is (r, p_r).  The run column min(p_0, p_1) adds no other cell:
+     its row-c cell is (c, p_c - 1) and its other cell (1 - c, p_{1-c}).
+  2. k cuts the row-r edge between those two cells.  When p_0 != p_1 it
+     also cuts the vertical edge of the run column, which joins the left
+     child's end cell in row c to the right child's in row 1 - c.  No other
+     edge.
+  3. An edge lies inside the parent iff both its cells do.  The children
+     are the parent's cells on either side of k, so that holds iff the left
+     child has an end cell in the edge's left row and the right child one
+     in its right row.  A child slot in those rows has those end cells.
+
+Lemma (split parents).  The parent (i, j; a, b) of two such child slots is
+a slot.  Proof.  The children are sections, so i <= k <= j componentwise,
+and they partition the cells between i and j.  Their dominating paths,
+joined through the edge, form one simple path from the left child's r1 to
+the right child's r2, the parent's end cells in rows a and b; the cells
+between i and j are connected through it, so (i, j) bounds a section.
+Every cell of it lies in one child, on that child's path or next to it.
+On a wide section every end pair is a slot (lemma "wide sections"); on a
+narrower one the index keeps every end pair with a dominating path, this
+one included.
+So the index builds the records from slot_of and each border's skew alone.
+A product whose parent is not a slot is not counted and has no record id:
+its fill raises IndexError instead of passing silently.
+tests/test_dp2xn.py rebuilds the records from crossing_edges and
+tree_exists up to width 10, independent of both lemmas.
 
 One table store serves every palette.  A full plane is a subset of the k
 colours that occur on the board, one bit each in palette order.  Keys name
@@ -362,40 +400,24 @@ class _SectionIndex:
 
     def _build_records(self, bt, bb, deadline):
         """Split records by parent slot, each parent's over split border k,
-        then edge e: the top-row, the bottom-row and the run-column edge cut
-        by k.  They are counted first, so that rec_left and rec_right are
-        allocated once at their exact size, then filled per split border k."""
-        n = int(bt[-1])
-        # Section (i, j) is the overlap of (i, right board edge) and (left
-        # board edge, j), so an edge is cut inside it iff it is cut inside
-        # both: cut masks factor into an (i, k) and a (k, j) half.  Split
-        # border k runs along axis 0; a low-skew border has at most one run
-        # column, min(t, b).
-        kt, kb = bt[:, None], bb[:, None]
-
-        def cuts(t1, b1, t2, b2):
-            col_cut, col_left = geo.column_cut(t1, b1, t2, b2, kt, kb, np.minimum(kt, kb))
-            return col_left, np.stack([geo.row_cut(t1, b1, t2, b2, kt, kb, 0),
-                                       geo.row_cut(t1, b1, t2, b2, kt, kb, 1),
-                                       col_cut], axis=-1)
-
-        col_left, after = cuts(bt[None, :], bb[None, :], n, n)  # (k, i, e)
-        after = after.transpose(1, 0, 2)  # (i, k, e)
-        before = cuts(0, 0, bt[None, :], bb[None, :])[1]  # (k, j, e)
-        # Children's slots per edge, -1 where there is none or the edge is
-        # not cut: a row-r edge joins the left child's row-r end cell to the
-        # right child's; a column edge runs from row col_left (per k) to the
-        # other row.
+        then edge e: top row, bottom row, run column.  By lemmas "split
+        edges" and "split parents" they follow from slot_of and each
+        border's skew alone.  They are counted first, so that rec_left and
+        rec_right are allocated once at their exact size, then filled per
+        split border and edge."""
         sub = self.slot_of[self.sec_of]  # (x, y, a, b): section (x, y), rows a, b
-        col = np.where(col_left[None] == 1, sub[..., 1], sub[..., 0])
-        left = np.concatenate([sub, col[..., None]], axis=3)  # (i, k, a, e)
-        left = np.where(after[:, :, None], left, -1).transpose(1, 3, 2, 0).copy()  # (k, e, a, i)
-        col = np.where(col_left[:, :, None] == 1, sub[:, :, 0], sub[:, :, 1])
-        right = np.concatenate([sub, col[:, :, None]], axis=2)  # (k, j, e, b)
-        right = np.where(before[..., None], right, -1).transpose(0, 2, 3, 1).copy()  # (k, e, b, j)
-        # A child with a slot lies between the parent's borders, so the
-        # records per parent are a product summed over k and e: one matrix
-        # product, exact in float32.
+        # Edge e = 0, 1 joins the children's row-e end cells.  The run
+        # column's edge, at borders of skew 1 only, joins the left child's
+        # row c to the right child's row 1 - c, c = 1 where t < b.
+        ks = np.arange(len(bt))
+        c = (bt < bb) * 1
+        run = (bt != bb)[:, None, None]
+        col = np.where(run, sub[:, ks, :, c].transpose(0, 2, 1), -1)  # (k, a, i)
+        left = np.concatenate([sub.transpose(1, 3, 2, 0), col[:, None]], axis=1)  # (k, e, a, i)
+        col = np.where(run, sub[ks, :, 1 - c].transpose(0, 2, 1), -1)  # (k, b, j)
+        right = np.concatenate([sub.transpose(0, 2, 3, 1), col[:, None]], axis=1)  # (k, e, b, j)
+        # The records per parent are a product summed over k and e: one
+        # matrix product, exact in float32.  Non-slot parents count none.
         has_parent = sub >= 0
         counts = np.einsum("keai,kebj->ijab", (left >= 0).astype(np.float32),
                            (right >= 0).astype(np.float32), optimize=True)
@@ -413,26 +435,22 @@ class _SectionIndex:
         order = bt + bb
         spans = zip(np.searchsorted(order, order, side="left").tolist(),
                     np.searchsorted(order, order, side="right").tolist())
-        # Per split border k, arrays indexed (e, a, i, b, j): edge e, parent
-        # left border i and its row a, parent right border j and its row b.
-        # A parent's records over k are numbered in e order from its next
-        # record id, (a, i, b, j).
+        # Each parent's next record id, indexed (a, i, b, j): parent left
+        # border i and its row a, right border j and its row b.  A non-slot
+        # parent reads id `total`, so a record there would raise IndexError.
         next_id = self.rec_start[sub].transpose(2, 0, 3, 1).copy()
         for k, (lo, hi) in enumerate(spans):
             _check_deadline(deadline)
-            l_, r = left[k, :, :, :lo, None, None], right[k, :, None, None, :, hi:]
-            ok = (l_ >= 0) & (r >= 0) & (sub[:lo, hi:] >= 0).transpose(2, 0, 3, 1)
-            if not ok.any():
-                continue
-            rank = ok.astype(np.int32)  # over e, per parent
-            rank[1] += rank[0]
-            rank[2] += rank[1]
             ids = next_id[:, :lo, :, hi:]
-            rank += ids - 1
-            ids[...] = rank[2] + 1
-            at = rank[ok]
-            self.rec_left[at] = np.broadcast_to(l_, ok.shape)[ok]
-            self.rec_right[at] = np.broadcast_to(r, ok.shape)[ok]
+            for e in range(3):
+                l_, r = left[k, e, :, :lo, None, None], right[k, e, None, None, :, hi:]
+                ok = (l_ >= 0) & (r >= 0)
+                if not ok.any():
+                    continue
+                at = ids[ok]
+                self.rec_left[at] = np.broadcast_to(l_, ok.shape)[ok]
+                self.rec_right[at] = np.broadcast_to(r, ok.shape)[ok]
+                ids[ok] += 1
 
 
 # Indexes by width, least recently used first.  An index takes 9 MB at

@@ -165,6 +165,21 @@ def test_verify_random_compares_the_worklist_table(monkeypatch, capsys):
     assert "FAIL random 5 boards" in capsys.readouterr().out
 
 
+def test_verify_random_out_of_search_budget_exits_3(monkeypatch, capsys):
+    # A search that gives up shows no value wrong: exit 3, not FAIL.
+    from floodit import oracle
+    min_moves = oracle.min_moves
+
+    def one_state(graph, **kwargs):
+        return min_moves(graph, budget=oracle.SearchBudget(max_states=1), **kwargs)
+
+    monkeypatch.setattr(oracle, "min_moves", one_state)
+    assert main(["verify", "--random", "2", "4", "3"]) == 3
+    captured = capsys.readouterr()
+    assert "error: search budget exhausted (state budget exhausted)" in captured.err
+    assert "FAIL" not in captured.out
+
+
 @pytest.mark.parametrize("args", [("2", "0", "3"), ("2", "3", "0"), ("-1", "3", "3"),
                                   ("0", "3", "3")])
 def test_verify_random_rejects_counts_below_one(args, capsys):

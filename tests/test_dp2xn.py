@@ -270,10 +270,11 @@ def test_low_skew_index_exact_on_all_2x4_boards():
             assert table.board_value(d)[0] == min_moves(graph, target=d).value, (cells, d)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_index_geometry_matches_board_functions(n):
     # The index's sections, slots and split records, rebuilt from the public
-    # board functions and tree_exists over all low-skew border pairs.
+    # board functions and tree_exists over all low-skew border pairs, so
+    # independent of lemmas "split edges" and "split parents".
     board = Board2xN(n, ((0,) * n, (0,) * n), ("a",))
     borders = low_skew_borders(n)
     sections = [(b1, b2) for b1 in borders for b2 in borders
