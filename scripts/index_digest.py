@@ -1,12 +1,15 @@
-"""Section index arrays of two source trees, compared width by width.
+"""Section index arrays and worklist windows of two source trees, compared
+width by width.
 
     python scripts/index_digest.py LABEL=SRC_DIR LABEL=SRC_DIR
 
 Each SRC_DIR holds a `floodit` package (the `src/` of a checkout).  One
 fresh process per tree builds `dp2xn._SectionIndex(n)` for every width n
-from 1 to 60 and prints the dtype, shape and md5 of each array in ARRAYS.
-Prints every (width, array) whose digest differs between the trees, or
-that all are identical; exits 1 if any differs.
+from 1 to 60 and prints the dtype, shape and md5 of each array in ARRAYS,
+then of the bounds and `above` of `dp2xn._windows(index, cap)` at the cap
+of each colour count k from 1 to 8 on the board, one row of k << (k - 1)
+entries per split sum.  Prints every digest that differs between the
+trees, or that all are identical; exits 1 if any differs.
 """
 
 import sys
@@ -18,13 +21,21 @@ ARRAYS = ("rec_start", "rec_left", "rec_right", "slot_sid", "slot_of", "slot_end
 
 CHILD = r"""
 import hashlib, sys
+import numpy as np
 from floodit import dp2xn
+
+def show(n, name, a):
+    shape = "x".join(map(str, a.shape))
+    print(n, name, a.dtype, shape, hashlib.md5(a.tobytes()).hexdigest())
+
 for n in range(1, 61):
     index = dp2xn._SectionIndex(n)
     for name in sys.argv[1:]:
-        a = getattr(index, name)
-        shape = "x".join(map(str, a.shape))
-        print(n, name, a.dtype, shape, hashlib.md5(a.tobytes()).hexdigest())
+        show(n, name, getattr(index, name))
+    for k in range(1, 9):
+        bounds, above = dp2xn._windows(index, max(1, dp2xn._BLOCK_ENTRIES // (k << (k - 1))))
+        show(n, f"bounds@{k}c", np.array(bounds, dtype=np.int64))
+        show(n, f"above@{k}c", above)
 """
 
 
@@ -44,7 +55,8 @@ def main(argv):
             differ = True
             print(f"{first}: {len(base)} digests, {label}: {len(lines)}")
     if not differ:
-        print(f"identical: {len(base)} digests (widths 1-60, {', '.join(ARRAYS)})")
+        print(f"identical: {len(base)} digests (widths 1-60, {', '.join(ARRAYS)}, "
+              "windows at 1-8 colours)")
     return 1 if differ else 0
 
 

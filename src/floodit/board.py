@@ -6,13 +6,13 @@ position where it meets the top edge (t) and the bottom edge (b), both in
 0..n.  Vertex ids are row-major with row 0 on top: id = row * n + col.
 
 This module is the one home of the geometry: which border pairs bound a
-section, which cells touch a border, which edges a border cuts.  The rules
-are element-wise: one expression evaluates on Python ints and on the numpy
-arrays of dp2xn's section index, which evaluates the section and end-cell
-rules.  The index derives its split records from slots (dp2xn's lemmas
-"split edges" and "split parents"); crossing_edges stays the definition
-the tests check them against.  The rules combine comparisons with & and |,
-never ~, which turns True into -2.
+section, which cells touch a border, which edges a border cuts.  The section
+and end-cell rules are element-wise: one expression evaluates on Python ints
+and on the numpy arrays of dp2xn's section index.  They combine comparisons
+with & and |, never ~, which turns True into -2.  The cut rule is the scalar
+crossing_edges: the index derives its split records from slots (dp2xn's
+lemmas "split edges" and "split parents"), and the tests check them against
+it.
 """
 
 from __future__ import annotations
@@ -183,29 +183,12 @@ def bounds_section(t1, b1, t2, b2):
             & ((t1 == t2) | (b1 == b2) | ((t1 < b2) & (b1 < t2))))
 
 
-def _in_run(t, b, col):
-    """Column col lies in the border's run [min(t, b), max(t, b))."""
-    return ((t <= col) & (col < b)) | ((b <= col) & (col < t))
-
-
 def touches_border(t, b, side, row, col):
     """Cell (row, col) has an edge on border (t, b) and lies on its side
-    ("left" or "right"), or is a cell of a run column."""
-    return (col == border_col(t, b, row) - (side == "left")) | _in_run(t, b, col)
-
-
-def row_cut(t1, b1, t2, b2, t, b, row):
-    """Border (t, b) cuts the row-`row` edge from column p - 1 to p,
-    p = border_col(t, b, row), inside the section."""
-    p = border_col(t, b, row)
-    return (border_col(t1, b1, row) < p) & (p < border_col(t2, b2, row))
-
-
-def column_cut(t1, b1, t2, b2, t, b, col):
-    """Border (t, b) cuts the vertical edge of run column col inside the
-    section; and the row of the edge's left cell, 1 (bottom) where t < b."""
-    inside = in_section(t1, b1, t2, b2, 0, col) & in_section(t1, b1, t2, b2, 1, col)
-    return _in_run(t, b, col) & inside, (t < b) * 1
+    ("left" or "right"), or is a cell of a run column, one in [min(t, b),
+    max(t, b))."""
+    return ((col == border_col(t, b, row) - (side == "left"))
+            | ((t <= col) & (col < b)) | ((b <= col) & (col < t)))
 
 
 def section_vertices(board: Board2xN, b1: Border, b2: Border) -> set:
@@ -265,19 +248,15 @@ def crossing_edges(
 ) -> list:
     """Edges of the cell graph cut by the border, as (x1, x2) with x1 on the
     left (<=) side.  Cuts: the top horizontal edge at position t, the bottom
-    one at position b, and one vertical edge per run column.  `within`
-    keeps the edges inside a section given as a (b1, b2) pair."""
+    one at position b, and one vertical edge per run column, whose left
+    cell is in the bottom row where t < b.  `within` keeps the edges with
+    both cells inside a section given as a (b1, b2) pair."""
     check_borders(board, border)
     b1, b2 = within or (Border(0, 0), Border(board.n, board.n))
     check_borders(board, b1, b2)
     t, b = border
-    edges = []
-    for row in (0, 1):
-        if row_cut(*b1, *b2, t, b, row):
-            p = border_col(t, b, row)
-            edges.append((board.vertex(row, p - 1), board.vertex(row, p)))
-    for col in range(min(t, b), max(t, b)):
-        cut, left = column_cut(*b1, *b2, t, b, col)
-        if cut:
-            edges.append((board.vertex(left, col), board.vertex(1 - left, col)))
-    return edges
+    left = (t < b) * 1
+    cuts = [((row, p - 1), (row, p)) for row, p in ((0, t), (1, b))]
+    cuts += [((left, col), (1 - left, col)) for col in range(min(t, b), max(t, b))]
+    return [(board.vertex(*x1), board.vertex(*x2)) for x1, x2 in cuts
+            if in_section(*b1, *b2, *x1) and in_section(*b1, *b2, *x2)]

@@ -187,66 +187,73 @@ def _report(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def _verify_exhaustive(n: int, colours: int) -> bool:
+    if n < 1 or colours < 1:
+        raise _UsageError("--exhaustive needs N >= 1 and C >= 1")
+    colourings = list(itertools.islice(
+        gen.colourings_up_to_renaming(2 * n, colours), EXHAUSTIVE_BOARD_CAP + 1))
+    if len(colourings) > EXHAUSTIVE_BOARD_CAP:
+        raise CapacityError(f"exhaustive suite over {n} {colours} exceeds "
+                            f"{EXHAUSTIVE_BOARD_CAP:,} boards up to renaming")
+    tokens = gen.colour_tokens(colours)
+    ok = True
+    boards = 0
+    for cells in colourings:
+        board = Board2xN(n, (cells[:n], cells[n:]), tokens)
+        graph = to_graph(board)
+        vref, tref = dp2xn.solve(board, mode="reference")
+        vwl, twl = dp2xn.solve(board, mode="worklist")
+        exact = oracle.min_moves(graph)
+        ok &= vref == vwl == exact.value
+        # Both tables come from the same index: equal arrays, equal entries.
+        ok &= np.array_equal(tref._dense, twl._dense)
+        for d in range(colours):
+            vt, _goal = tref.board_value(target=d)
+            ok &= vt == oracle.min_moves(graph, target=d).value
+        boards += 1
+        if not ok:
+            break
+    return _report(f"exhaustive {n} {colours}", ok, f"{boards} boards up to renaming")
+
+
+def _verify_random(rng, count: int, n: int, colours: int) -> bool:
+    if count < 1 or n < 1 or colours < 1:
+        raise _UsageError("--random needs COUNT >= 1, N >= 1 and C >= 1")
+    ok = True
+    for _ in range(count):
+        board = gen.random_board(rng, n, colours)
+        value, table = dp2xn.solve(board)
+        vwl, twl = dp2xn.solve(board, mode="worklist")
+        exact = oracle.min_moves(to_graph(board))
+        if not exact.is_exact:
+            raise BudgetExceededError(f"search budget exhausted ({exact.reason})")
+        # Both tables come from the same index: equal arrays, equal entries.
+        if (exact.value != value or vwl != value
+                or not np.array_equal(table._dense, twl._dense)):
+            ok = False
+            break
+        moves = dp2xn.reconstruct(table)
+        final, flooded = replay(to_graph(board), moves)
+        if not flooded or len(moves) != value:
+            ok = False
+            break
+    return _report(f"random {count} boards {n}x{colours}", ok)
+
+
 def _cmd_verify(args) -> int:
     if not (args.exhaustive or args.random or args.lemmas or args.reduction):
         raise _UsageError("choose at least one of --exhaustive/--random/--lemmas/--reduction")
     all_ok = True
     rng = random.Random(args.seed)
 
-    if args.exhaustive:
-        n, colours = args.exhaustive
-        if n < 1 or colours < 1:
-            raise _UsageError("--exhaustive needs N >= 1 and C >= 1")
-        colourings = list(itertools.islice(
-            gen.colourings_up_to_renaming(2 * n, colours), EXHAUSTIVE_BOARD_CAP + 1))
-        if len(colourings) > EXHAUSTIVE_BOARD_CAP:
-            print(f"error: exhaustive suite over {n} {colours} exceeds "
-                  f"{EXHAUSTIVE_BOARD_CAP:,} boards up to renaming", file=sys.stderr)
-            return EXIT_CAPACITY
-        tokens = gen.colour_tokens(colours)
-        ok = True
-        boards = 0
-        for cells in colourings:
-            board = Board2xN(n, (cells[:n], cells[n:]), tokens)
-            graph = to_graph(board)
-            vref, tref = dp2xn.solve(board, mode="reference")
-            vwl, twl = dp2xn.solve(board, mode="worklist")
-            exact = oracle.min_moves(graph)
-            ok &= vref == vwl == exact.value
-            # Both tables come from the same index: equal arrays, equal entries.
-            ok &= np.array_equal(tref._dense, twl._dense)
-            for d in range(colours):
-                vt, _goal = tref.board_value(target=d)
-                ok &= vt == oracle.min_moves(graph, target=d).value
-            boards += 1
-            if not ok:
-                break
-        all_ok &= _report(f"exhaustive {n} {colours}", ok, f"{boards} boards up to renaming")
-
-    if args.random:
-        count, n, colours = args.random
-        if count < 1 or n < 1 or colours < 1:
-            raise _UsageError("--random needs COUNT >= 1, N >= 1 and C >= 1")
-        ok = True
-        for _ in range(count):
-            board = gen.random_board(rng, n, colours)
-            value, table = dp2xn.solve(board)
-            vwl, twl = dp2xn.solve(board, mode="worklist")
-            exact = oracle.min_moves(to_graph(board))
-            if not exact.is_exact:
-                print(f"error: search budget exhausted ({exact.reason})", file=sys.stderr)
-                return EXIT_CAPACITY
-            # Both tables come from the same index: equal arrays, equal entries.
-            if (exact.value != value or vwl != value
-                    or not np.array_equal(table._dense, twl._dense)):
-                ok = False
-                break
-            moves = dp2xn.reconstruct(table)
-            final, flooded = replay(to_graph(board), moves)
-            if not flooded or len(moves) != value:
-                ok = False
-                break
-        all_ok &= _report(f"random {count} boards {n}x{colours}", ok)
+    try:
+        if args.exhaustive:
+            all_ok &= _verify_exhaustive(*args.exhaustive)
+        if args.random:
+            all_ok &= _verify_random(rng, *args.random)
+    except (CapacityError, BudgetExceededError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
 
     if args.lemmas:
         ok_trees = True

@@ -276,7 +276,8 @@ _RECORD_CAP = 125_000_000
 # many sums (their child rows), and the recolour rule works on a block of
 # slots whose (slot, full plane) least values hold at most this many
 # entries, so that every temporary stays one block whatever the colours.
-# A worklist window holds at most this many split records (_windows).
+# A worklist window is whole layers of at most _BLOCK_ENTRIES // (entries
+# per row) split records, or one larger layer (_windows).
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -901,20 +902,15 @@ def _windows(index, cap):
     """The worklist's windows over the split records, and where a scan for
     a slot's records starts.  Window w is the records bounds[w]:bounds[w +
     1]: consecutive whole layers while their records number at most cap,
-    one kernel block, or a larger layer alone, cut into pieces of at most
-    _BLOCK_ENTRIES records.  above[s] is the first record whose parent lies
-    in a layer above slot s; children lie in earlier layers than their
+    or one larger layer alone.  above[s] is the first record whose parent
+    lies in a layer above slot s; children lie in earlier layers than their
     parent, so every record with child s lies at or after above[s], and a
     window of one layer holds no record with a parent in it as a child."""
     edges = index.rec_start[index.layer_bounds].tolist()
     bounds = [0]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - bounds[-1] > cap:
-            if lo > bounds[-1]:
-                bounds.append(lo)
-            if hi - lo > cap:
-                bounds += range(lo + _BLOCK_ENTRIES, hi, _BLOCK_ENTRIES)
-                bounds.append(hi)
+        if lo > bounds[-1] and hi - bounds[-1] > cap:
+            bounds.append(lo)
     if bounds[-1] < edges[-1]:
         bounds.append(edges[-1])
     return bounds, np.repeat(edges[1:], np.diff(index.layer_bounds))
@@ -928,10 +924,11 @@ def _solve_buckets(best, imap, row_of, index, deadline):
     bucket k is done, every entry whose value is at most k is final, so
     "settled" means value <= k and the one relaxed array is the table.  A
     slot is settled once one of its entries is.  Bucket k is one upward pass
-    over the split records, which are stored in layer order, in windows:
-    each window offers the split sums of its records that have both
-    children settled and a child with an entry at k, then rescans its
-    records above the slots where an entry dropped to k, until none does.
+    over the split records, which are stored in layer order, in windows of
+    whole layers: each window offers the split sums of its records that
+    have both children settled and a child with an entry at k, then
+    rescans its records above the slots where an entry dropped to k, until
+    none does.  A window of one layer never rescans.
     The pass starts at the first layer above the lowest slot at k: no
     earlier record has a child at k.  Then the recolour rule offers to
     later buckets.

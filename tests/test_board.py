@@ -221,6 +221,26 @@ def test_crossing_is_exactly_the_cut():
             assert x1 in left and x2 not in left
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_crossing_within_a_section_is_the_cut_inside_it(n):
+    # Every border against every section: the cell graph's edges with one
+    # cell on each side of the border and both in the section, each oriented
+    # from its left cell.
+    b = board_n(n)
+    g = to_graph(b)
+    borders = enumerate_borders(n)
+    for b1, b2 in itertools.product(borders, repeat=2):
+        if not (border_leq(b1, b2) and is_section(b, b1, b2)):
+            continue
+        inside = section_vertices(b, b1, b2)
+        for border in borders:
+            left = set(range(border.t)) | {n + c for c in range(border.b)}
+            want = {(u, v) if u in left else (v, u) for u, v in g.edges()
+                    if (u in left) != (v in left) and {u, v} <= inside}
+            got = crossing_edges(b, border, within=(b1, b2))
+            assert len(got) == len(want) and set(got) == want, (border, b1, b2)
+
+
 def test_crossing_removal_disconnects():
     b = board_n(5)
     g = to_graph(b)

@@ -197,6 +197,20 @@ def test_verify_exhaustive_over_budget_exits_3(capsys):
     assert main(["verify", "--exhaustive", "5", "5"]) == 3
 
 
+def test_verify_random_key_space_over_cap_exits_3(capsys):
+    assert main(["verify", "--random", "1", "10", "20"]) == 3
+    captured = capsys.readouterr()
+    assert "key space too large" in captured.err
+    assert "FAIL" not in captured.out
+
+
+def test_verify_exhaustive_index_over_record_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(dp2xn, "_RECORD_CAP", 0)
+    monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
+    assert main(["verify", "--exhaustive", "2", "1"]) == 3
+    assert "split records" in capsys.readouterr().err
+
+
 def test_verify_exhaustive_counts_boards_up_to_renaming(capsys):
     # 2x2 boards with at most 4 colours: 15 up to renaming (Bell number B4).
     assert main(["verify", "--exhaustive", "2", "4"]) == 0

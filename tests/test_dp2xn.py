@@ -327,19 +327,18 @@ def test_slots_are_numbered_in_layer_order(n):
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_windows_reach_every_record_from_both_children(n, monkeypatch):
+def test_windows_reach_every_record_from_both_children(n):
     # A worklist scan for the records of child slot s starts at above[s]:
     # every record lies at or after above of both children, and the records
     # before above[s] have parents in s's layer or below.  Windows cover the
-    # records in order, each whole layers of at most cap records or a piece
-    # of one layer of at most _BLOCK_ENTRIES.
+    # records in order, each whole layers of at most cap records or one
+    # larger layer.
     index = dp2xn._SectionIndex(n)
     records = len(index.rec_left)
     parents = np.repeat(np.arange(len(index.slot_sid)), np.diff(index.rec_start))
     layer = np.repeat(np.arange(len(index.layer_bounds) - 1), np.diff(index.layer_bounds))
     edges = index.rec_start[index.layer_bounds]
-    for block, cap in ((1 << 18, 8192), (64, 16), (64, 64)):
-        monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", block)
+    for cap in (8192, 16, 64):
         bounds, above = dp2xn._windows(index, cap)
         ids = np.arange(records)
         assert (ids >= above[index.rec_left]).all() and (ids >= above[index.rec_right]).all()
@@ -347,9 +346,8 @@ def test_windows_reach_every_record_from_both_children(n, monkeypatch):
         assert bounds[0] == 0 and bounds[-1] == records
         assert all(a < b for a, b in zip(bounds[:-1], bounds[1:]))
         for a, b in zip(bounds[:-1], bounds[1:]):
-            whole = a in edges and b in edges
-            one_layer = layer[parents[a]] == layer[parents[b - 1]]
-            assert (whole and b - a <= cap) or (one_layer and b - a <= block), (a, b)
+            assert a in edges and b in edges, (a, b)
+            assert b - a <= cap or layer[parents[a]] == layer[parents[b - 1]], (a, b)
 
 
 def _same(a, b):
@@ -454,7 +452,7 @@ def test_reference_table_equals_bucketed_worklist():
 
 def test_split_kernel_blocks_and_offers_do_not_change_tables(monkeypatch):
     # One table row per gather block, so that every kernel call runs many
-    # blocks and every worklist window holds one record, against the tables
+    # blocks and every worklist window holds one layer, against the tables
     # at the default sizes.
     rng = random.Random(1010)
     boards = [random_board(rng, rng.randint(2, 6), rng.randint(2, 4)) for _ in range(12)]
@@ -467,11 +465,11 @@ def test_split_kernel_blocks_and_offers_do_not_change_tables(monkeypatch):
             assert np.array_equal(solve(board, mode=mode)[1]._dense, dense), (mode, board.cells)
 
 
-def test_windows_that_merge_layers_or_cut_one_do_not_change_tables(monkeypatch):
+def test_windows_that_merge_layers_do_not_change_tables(monkeypatch):
     # With 2 colours on the board a row holds 4 entries, so blocks of 1,100
     # entries make the 2x8 layers of 30 and 84 records one worklist window,
-    # whose drops only the window's rescan follows, and cut the layers of
-    # more than 1,100 records into pieces.
+    # whose drops only the window's rescan follows, and leave each layer of
+    # more than 275 records a window alone.
     rng = random.Random(1040)
     boards = [random_board(rng, 8, 2) for _ in range(8)]
     reference = [solve(board, mode="reference")[1]._dense for board in boards]
@@ -481,7 +479,7 @@ def test_windows_that_merge_layers_or_cut_one_do_not_change_tables(monkeypatch):
     index = dp2xn._get_index(8)
     per_layer = np.diff(index.rec_start[index.layer_bounds])
     assert per_layer[1] + per_layer[2] <= block // 4 < per_layer[1:4].sum()
-    assert per_layer.max() > block
+    assert per_layer.max() > block // 4
     for board, want, dense in zip(boards, reference, default):
         table = solve(board, mode="worklist")[1]
         assert table._values[0].size == 4
