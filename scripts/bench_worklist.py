@@ -8,9 +8,12 @@ with `dp2xn._get_index(n)`, then solves one board with
 `dp2xn.solve(board, mode=MODE)`.  It reports the index build's wall time
 (index_s), the wall time of both together (solve_s, comparable with rows
 that timed the solve with the index build inside), `ru_maxrss` of the
-process and the md5 of the solved table, expanded to (colour, ignore set,
-slot) over every palette colour and every subset of the board's colours
-(the peak is read before the expansion).  A round runs every board in both
+process, the md5 of the solved table, expanded to (colour, ignore set,
+slot) over every palette colour and every subset of the board's colours,
+and the md5 of the move sequence `dp2xn.reconstruct` emits, as int64
+(vertex, colour) pairs (sequence_md5; the peak is read before the
+expansion and the reconstruction).  So one run checks that two trees give
+equal tables and emit equal sequences.  A round runs every board in both
 modes, "reference" and "worklist", once per tree, and rounds alternate
 which tree runs first.
 Prints one JSON row per tree: per board and mode, the medians, the first
@@ -49,7 +52,9 @@ peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 # (colour, ignore set, slot) over every palette colour and every subset of
 # the board's colours, whatever layout the solver stores.
 full = np.ascontiguousarray(table._dense.transpose(1, 2, 0))
-print(value, seconds, index_seconds, peak, hashlib.md5(full.tobytes()).hexdigest())
+moves = np.array([(m.vertex, m.colour) for m in dp2xn.reconstruct(table)], dtype=np.int64)
+print(value, seconds, index_seconds, peak, hashlib.md5(full.tobytes()).hexdigest(),
+      hashlib.md5(moves.tobytes()).hexdigest())
 """
 
 BOARDS = ("2x60_4c", "2x10_11of16c")
@@ -60,7 +65,7 @@ def measure(src, board, mode):
     out = run_child(src, CHILD, board, mode).split()
     return {"value": int(out[0]), "solve_s": round(float(out[1]), 3),
             "index_s": round(float(out[2]), 3), "peak_rss_mb": round(float(out[3]), 1),
-            "md5": out[4]}
+            "md5": out[4], "sequence_md5": out[5]}
 
 
 def quartiles(xs):
@@ -86,6 +91,7 @@ def main(argv):
             row.setdefault(board, {})[mode] = {
                 "value": got[0]["value"],
                 "md5": sorted({g["md5"] for g in got}),
+                "sequence_md5": sorted({g["sequence_md5"] for g in got}),
                 "solve_s_median": statistics.median(seconds),
                 "solve_s_quartiles": quartiles(seconds),
                 "index_s_median": statistics.median(index_seconds),

@@ -1,7 +1,8 @@
 """Command-line interface: floodit solve|reduce|verify|gen|bench.
 
-Exit codes: 0 success, 1 usage error or failed verification, 2 parse error,
-3 capacity or budget exhaustion.
+Exit codes: 0 success, 1 usage error or failed verification (a move
+sequence that fails its replay included), 2 parse error or a file that
+cannot be read or written, 3 capacity or budget exhaustion.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from . import dp2xn, gen, oracle, reduction
 from .board import Board2xN, parse_board, serialize_board, to_graph
-from .engine import replay
-from .errors import BudgetExceededError, CapacityError, ParseError
+from .errors import BudgetExceededError, CapacityError, ParseError, ReconstructionError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,27 +119,27 @@ def _cmd_solve(args) -> int:
             if args.json:
                 stats = table.stats().__dict__
             if args.emit_sequence:
-                moves = dp2xn.reconstruct(table)
+                moves = dp2xn.reconstruct(table)  # replay-validated
         else:
             budget = oracle.SearchBudget(max_seconds=args.time_budget)
-            result = oracle.min_moves(to_graph(board), target=target, budget=budget)
+            graph = to_graph(board)
+            result = oracle.min_moves(graph, target=target, budget=budget)
             if not result.is_exact:
                 print(f"error: search budget exhausted ({result.reason})", file=sys.stderr)
                 return EXIT_CAPACITY
             value = result.value
             stats = {"states": result.states_explored}
             if args.emit_sequence:
+                if not oracle.validate_witness(graph, result, target):
+                    raise ReconstructionError("search witness failed replay validation")
                 moves = result.witness
     except (CapacityError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except ReconstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     millis = (time.perf_counter() - start) * 1000.0
-
-    if moves is not None:
-        final, flooded = replay(to_graph(board), moves)
-        if not flooded or (target is not None and final.colouring[0] != target):
-            print("error: emitted sequence failed replay validation", file=sys.stderr)
-            return EXIT_CAPACITY
 
     if args.json:
         payload = {
@@ -172,12 +172,16 @@ def _cmd_reduce(args) -> int:
         print(f"error: {args.graph}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     board, meta = reduction.build_board(instance)
-    with open(args.output, "w") as fh:
-        fh.write(serialize_board(board))
+    writes = [(args.output, serialize_board(board))]
     if args.meta:
-        with open(args.meta, "w") as fh:
-            json.dump(meta.as_dict(), fh, indent=2)
-            fh.write("\n")
+        writes.append((args.meta, json.dumps(meta.as_dict(), indent=2) + "\n"))
+    for path, text in writes:
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     print(f"wrote {args.output}: n={meta.n}, N={meta.moves_base}, palette={len(board.palette)}")
     return EXIT_OK
 
@@ -185,6 +189,12 @@ def _cmd_reduce(args) -> int:
 def _report(name: str, ok: bool, detail: str = "") -> bool:
     print(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
     return ok
+
+
+def _failing(board) -> str:
+    """FAIL detail naming a board by its two rows of colour tokens."""
+    rows = (" ".join(board.palette[c] for c in row) for row in board.cells)
+    return "first failing board {} / {}".format(*rows)
 
 
 def _verify_exhaustive(n: int, colours: int) -> bool:
@@ -213,13 +223,15 @@ def _verify_exhaustive(n: int, colours: int) -> bool:
         boards += 1
         if not ok:
             break
-    return _report(f"exhaustive {n} {colours}", ok, f"{boards} boards up to renaming")
+    detail = f"{boards} boards up to renaming"
+    return _report(f"exhaustive {n} {colours}", ok,
+                   detail if ok else f"{detail}, {_failing(board)}")
 
 
 def _verify_random(rng, count: int, n: int, colours: int) -> bool:
     if count < 1 or n < 1 or colours < 1:
         raise _UsageError("--random needs COUNT >= 1, N >= 1 and C >= 1")
-    ok = True
+    name = f"random {count} boards {n}x{colours}"
     for _ in range(count):
         board = gen.random_board(rng, n, colours)
         value, table = dp2xn.solve(board)
@@ -228,16 +240,15 @@ def _verify_random(rng, count: int, n: int, colours: int) -> bool:
         if not exact.is_exact:
             raise BudgetExceededError(f"search budget exhausted ({exact.reason})")
         # Both tables come from the same index: equal arrays, equal entries.
-        if (exact.value != value or vwl != value
-                or not np.array_equal(table._dense, twl._dense)):
-            ok = False
-            break
-        moves = dp2xn.reconstruct(table)
-        final, flooded = replay(to_graph(board), moves)
-        if not flooded or len(moves) != value:
-            ok = False
-            break
-    return _report(f"random {count} boards {n}x{colours}", ok)
+        ok = exact.value == value == vwl and np.array_equal(table._dense, twl._dense)
+        if ok:
+            try:
+                dp2xn.reconstruct(table)  # replay-validated
+            except ReconstructionError:
+                ok = False
+        if not ok:
+            return _report(name, False, _failing(board))
+    return _report(name, True)
 
 
 def _cmd_verify(args) -> int:

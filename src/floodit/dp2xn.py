@@ -164,14 +164,17 @@ tree_exists up to width 10, independent of both lemmas.
 
 One table store serves every palette.  A full plane is a subset of the k
 colours that occur on the board, one bit each in palette order.  Keys name
-ignore sets as palette bitmasks canonicalised to the colours present in the
-section (ZKey.ignore); masks that agree on a section's colours provably hold
-equal values there.  The table stores only the k board colours, each on the
-2^(k-1) planes without its own bit (lemma "own bit"): colour j's plane p is
-the full plane expand[j, p], and full plane J reads colour j's plane
-row_of[j, J].  Palette colours absent from the board have no entries (lemma
-"absent colours").  So the table holds k x 2^(k-1) x slots entries, half or
-less of the palette x 2^k x slots (colour, ignore set) pairs.
+ignore sets as palette bitmasks (ZKey.ignore), and a lookup reads the plane
+of the key's board colours as it is: planes that agree on a section's
+colours hold equal values there (lemma "section colours").  Only entries()
+and stats() keep to canonical planes, those inside the section's colours,
+so that each value is counted once.  The table stores only the k board
+colours, each on the 2^(k-1) planes without its own bit (lemma "own bit"):
+colour j's plane p is the full plane expand[j, p], and full plane J reads
+colour j's plane row_of[j, J].  Palette colours absent from the board have
+no entries (lemma "absent colours").  So the table holds k x 2^(k-1) x
+slots entries, half or less of the palette x 2^k x slots (colour, ignore
+set) pairs.
 
 Lemma (own bit).  For a colour d on the board, v(d, I) = v(d, I + {d}) on
 every slot.  Proof.  In a derivation of an entry, the nodes that keep
@@ -199,6 +202,23 @@ ignore sets enlarged throughout.  Proof.
      split of d costs at least 1 + W(I).
 So both passes relax board colours only: an absent colour's entry exceeds
 W(I), so the recolour rule of a board colour reads W over board colours.
+
+Lemma (section colours).  Let S be the colours of a slot's section.  Then
+v(d, I) = v(d, I & S) on the slot, for every colour d and ignore set I.
+Proof.  Take I and I' with I & S = I' & S.  By induction over derivations,
+a derivation of (d, I) on the slot turns into one of (d, I') with the same
+value, and back:
+  1. A seed tests only section cells, whether each is d-coloured or its
+     colour lies in I + {d}; and (I + {d}) & S = (I' + {d}) & S.
+  2. A recolour step reads v(d', I + {d}) on the same slot, and (I + {d}) &
+     S = ((I & S) + {d}) & S = (I' + {d}) & S, so by induction it has a
+     derivation on I' + {d} of the same value.
+  3. A split keeps its ignore set, and its children's sections hold subsets
+     of S, so I and I' agree on their colours too.
+Taking I' = I & S gives the lemma.  So lookups read any plane of a key,
+and rules read a child on the plane the rule names, with no section mask;
+reconstruct() takes the same rule either way, as the values are equal.
+tests/test_dp2xn.py checks the expanded tables against the lemma.
 
 Two modes compute the same least fixed point.  "reference" makes one pass in
 structural order.  A split points from a section to two sections with fewer
@@ -478,7 +498,9 @@ class ZKey:
     r1: int
     r2: int
     d: int
-    ignore: int  # colour bitmask, canonicalised to colours in the section
+    # Palette bitmask.  entries() lists masks within the section's colours;
+    # any other reads the same as its bits there (lemma "section colours").
+    ignore: int
 
 
 @dataclass
@@ -628,17 +650,9 @@ class DPTable:
             full[:, d] = planes
         return full
 
-    def _plane(self, ignore, sid):
-        """Plane of a palette ignore bitmask, canonical for section sid."""
-        plane = sum(b for d, b in enumerate(self._bits) if ignore >> d & 1)
-        return plane & int(self._masks[sid])
-
     def value_of(self, z: ZKey):
         """Value for a key; +inf for never-relaxed keys."""
-        slot, sid = self._slot_of_key(z)
-        if not 0 <= z.d < len(self.board.palette):
-            raise InputError(f"colour {z.d} outside the palette")
-        v = int(self._read(slot, z.d, self._plane(z.ignore, sid)))
+        v = int(self._read(*self._slot_of_key(z)))
         return float("inf") if v >= INF else v
 
     def _canonical(self):
@@ -670,32 +684,36 @@ class DPTable:
             }
         return self._entries
 
-    def _rule_of(self, slot, d, mask):
+    def _rule_of(self, slot, d, plane):
         """Find a relaxation rule achieving the stored value.
 
         Returns ("zero",), ("recolour", child) or ("split", left, right),
-        each child the (slot, colour, plane) of the entry the rule reads.
+        each child the (slot, colour, full plane) of the entry the rule
+        reads: the recolour child on plane + {d}, split children on the
+        parent's plane (lemma "section colours").
         """
-        v = int(self._read(slot, d, mask))
+        v = int(self._read(slot, d, plane))
         if v >= INF:
             raise InputError("entry has no finite value")
         if v == 0:
             return ("zero",)
         index = self._index
-        masks, sids = self._masks, index.slot_sid
-        child_mask = (mask | self._bits[d]) & masks.item(sids.item(slot))
+        child = plane | self._bits[d]
         for dp in range(len(self._row)):
-            if int(self._read(slot, dp, child_mask)) == v - 1:
-                return ("recolour", (slot, dp, child_mask))
+            if int(self._read(slot, dp, child)) == v - 1:
+                return ("recolour", (slot, dp, child))
         for i in range(index.rec_start.item(slot), index.rec_start.item(slot + 1)):
             ls, rs = index.rec_left.item(i), index.rec_right.item(i)
-            lm, rm = mask & masks.item(sids.item(ls)), mask & masks.item(sids.item(rs))
-            lv = int(self._read(ls, d, lm))
-            if lv <= v and lv + int(self._read(rs, d, rm)) == v:
-                return ("split", (ls, d, lm), (rs, d, rm))
+            lv = int(self._read(ls, d, plane))
+            if lv <= v and lv + int(self._read(rs, d, plane)) == v:
+                return ("split", (ls, d, plane), (rs, d, plane))
         raise FlooditError("no relaxation rule reproduces the stored value")
 
     def _slot_of_key(self, z: ZKey):
+        """The (slot, palette colour, full plane) a key reads, the plane of
+        the key's ignored colours that occur on the board.  Raises
+        InputError for a colour outside the palette or a key with no
+        slot."""
         c1, c2 = geo.section_cells(self.board, z.b1, z.b2, z.r1, z.r2)
         sid = self._index.by_geom.get((*z.b1, *z.b2))
         if sid is None:
@@ -703,12 +721,13 @@ class DPTable:
         slot = self._index.pair_slot(sid, c1, c2)
         if slot is None:
             raise InputError(f"({z.r1}, {z.r2}) is not a valid attachment pair")
-        return slot, sid
+        if not 0 <= z.d < len(self._bits):
+            raise InputError(f"colour {z.d} outside the palette")
+        return slot, z.d, sum(b for d, b in enumerate(self._bits) if z.ignore >> d & 1)
 
     def back_pointer(self, z: ZKey) -> "BackPtr":
         """Which rule produced the key's value (re-derived on demand)."""
-        slot, sid = self._slot_of_key(z)
-        rule = self._rule_of(slot, z.d, self._plane(z.ignore, sid))
+        rule = self._rule_of(*self._slot_of_key(z))
         if rule[0] == "zero":
             return BackPtr("zero")
         if rule[0] == "recolour":
@@ -1051,8 +1070,8 @@ def reconstruct(table: DPTable) -> list:
     board = table.board
     index = table._index
 
-    def derive(slot, d, mask):
-        kind, *children = table._rule_of(slot, d, mask)
+    def derive(slot, d, plane):
+        kind, *children = table._rule_of(slot, d, plane)
         moves = [m for child in children for m in derive(*child)]
         if kind == "recolour":
             moves.append(Move(int(index.slot_ends[slot, 0]), d))

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -68,6 +69,40 @@ def test_solve_unknown_target_is_usage_error(tmp_path, capsys):
     assert main(["solve", board, "--target", "zz"]) == 1
 
 
+def test_failed_dp_replay_is_a_failed_verification(tmp_path, monkeypatch, capsys):
+    from floodit.errors import ReconstructionError
+
+    def failing(table):
+        raise ReconstructionError("reconstructed sequence failed replay validation")
+
+    monkeypatch.setattr(dp2xn, "reconstruct", failing)
+    board = write(tmp_path / "b.txt", "4\na b a b\nb a b a\n")
+    assert main(["solve", board, "--method", "dp", "--emit-sequence"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: reconstructed sequence failed replay validation\n"
+    assert captured.out == ""
+    assert main(["verify", "--random", "2", "4", "3", "--seed", "3"]) == 1
+    assert "FAIL random 2 boards 4x3: first failing board" in capsys.readouterr().out
+
+
+def test_failed_search_witness_is_a_failed_verification(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    from floodit import oracle
+    min_moves = oracle.min_moves
+
+    def one_move_short(graph, **kwargs):
+        result = min_moves(graph, **kwargs)
+        return dataclasses.replace(result, witness=result.witness[:-1])
+
+    monkeypatch.setattr(oracle, "min_moves", one_move_short)
+    board = write(tmp_path / "b.txt", "2\na b\nb a\n")
+    assert main(["solve", board, "--method", "bfs", "--emit-sequence"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: search witness failed replay validation\n"
+    assert captured.out == ""
+
+
 def test_solve_target_token(tmp_path, capsys):
     board = write(tmp_path / "b.txt", "2\na b\nb a\n")
     assert main(["solve", board, "--target", "b", "--json"]) == 0
@@ -133,6 +168,17 @@ def test_reduce_p3_meta(tmp_path):
     assert payload["n"] == 40 and payload["N"] == 17
 
 
+@pytest.mark.parametrize("flag", ["-o", "--meta"])
+def test_reduce_unwritable_output_exits_2(flag, tmp_path, capsys):
+    graph = write(tmp_path / "g.txt", "0 1\n")
+    paths = {"-o": str(tmp_path / "board.txt"), "--meta": str(tmp_path / "meta.json")}
+    paths[flag] = str(tmp_path / "missing" / "out")
+    assert main(["reduce", graph, "-o", paths["-o"], "--meta", paths["--meta"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {paths[flag]}: ")
+    assert "Traceback" not in err
+
+
 def test_reduce_rejects_isolated_vertex(tmp_path, capsys):
     graph = write(tmp_path / "g.txt", "p 3\n0 1\n")
     assert main(["reduce", graph, "-o", str(tmp_path / "b.txt")]) == 2
@@ -162,7 +208,27 @@ def test_verify_random_compares_the_worklist_table(monkeypatch, capsys):
 
     monkeypatch.setattr(dp2xn, "_solve_buckets", unreached_read_finite)
     assert main(["verify", "--random", "5", "4", "3", "--seed", "3"]) == 1
-    assert "FAIL random 5 boards" in capsys.readouterr().out
+    # The first board fails; the FAIL line names it by its token rows.
+    from floodit import gen
+    from floodit.board import serialize_board
+
+    _n, top, bottom = serialize_board(gen.random_board(random.Random(3), 4, 3)).splitlines()
+    out = capsys.readouterr().out
+    assert out == f"FAIL random 5 boards 4x3: first failing board {top} / {bottom}\n"
+
+
+def test_verify_exhaustive_names_the_first_failing_board(monkeypatch, capsys):
+    solve_buckets = dp2xn._solve_buckets
+
+    def unreached_read_finite(best, *args):
+        solve_buckets(best, *args)
+        best[best == dp2xn.INF] -= 1
+
+    monkeypatch.setattr(dp2xn, "_solve_buckets", unreached_read_finite)
+    assert main(["verify", "--exhaustive", "2", "2"]) == 1
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"FAIL exhaustive 2 2: \d+ boards up to renaming, "
+                        r"first failing board [ab] [ab] / [ab] [ab]\n", out), out
 
 
 def test_verify_random_out_of_search_budget_exits_3(monkeypatch, capsys):

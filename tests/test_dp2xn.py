@@ -604,6 +604,36 @@ def test_tables_are_the_least_fixed_point_of_the_rules():
             assert np.array_equal(values, np.minimum(rules, dp2xn.INF)), (mode, board.cells)
 
 
+def test_planes_read_only_the_section_colours():
+    # Lemma "section colours": on every slot, every palette colour reads the
+    # same on full plane J as on J & S, S the plane bits of the colours in
+    # the slot's section.  Lookups and reconstruct() rely on it: they read
+    # planes without masking them to the section.
+    rng = random.Random(2100)
+    masked = 0
+    for _ in range(50):
+        n, c = rng.randint(1, 7), rng.randint(1, 8)
+        used = rng.sample(range(c), rng.randint(1, min(c, 6)))
+        cells = [rng.choice(used) for _ in range(2 * n)]
+        board = Board2xN(n, (tuple(cells[:n]), tuple(cells[n:])), colour_tokens(c))
+        bits = dp2xn._plane_bits(board).tolist()
+        planes = np.arange(1 << sum(b > 0 for b in bits))
+        for mode in ("reference", "worklist"):
+            _, table = solve(board, mode=mode)
+            index = table._index
+            for slot, sid in enumerate(index.slot_sid.tolist()):
+                t1, bb1, t2, bb2 = index.geoms[sid]
+                section = 0
+                for v in section_vertices(board, Border(t1, bb1), Border(t2, bb2)):
+                    row, col = board.cell_of(v)
+                    section |= bits[board.cells[row][col]]
+                values = table._dense[slot]  # (palette colour, full plane)
+                assert np.array_equal(values, values[:, planes & section]), (
+                    board.cells, c, mode, slot)
+                masked += np.count_nonzero(planes & section != planes)
+    assert masked  # the gate saw planes outside some section's colours
+
+
 @st.composite
 def small_boards(draw, min_n=1, max_n=5, max_colours=4):
     n = draw(st.integers(min_n, max_n))
@@ -785,6 +815,18 @@ def test_back_pointer_rules():
             assert ptr.border is not None
             assert ptr.x1 is not None and ptr.x2 is not None
     assert kinds == {"zero", "recolour", "split"}
+
+
+def test_keys_with_a_colour_outside_the_palette_are_rejected():
+    board = board_of("ab", "ba")
+    _, table = solve(board)
+    key = next(iter(table.entries()))
+    for d in (-1, len(board.palette)):
+        bad = ZKey(key.b1, key.b2, key.r1, key.r2, d, key.ignore)
+        with pytest.raises(InputError, match="outside the palette"):
+            table.value_of(bad)
+        with pytest.raises(InputError, match="outside the palette"):
+            table.back_pointer(bad)
 
 
 def test_palette_beyond_board_colours_solves_exactly_in_both_modes():
