@@ -220,6 +220,18 @@ and rules read a child on the plane the rule names, with no section mask;
 reconstruct() takes the same rule either way, as the values are equal.
 tests/test_dp2xn.py checks the expanded tables against the lemma.
 
+Split records are stored one rectangle per layer (slots of equal cell
+count): every slot of a layer holds as many records as the layer's widest
+slot, its own records first and then padding records, which name the null
+slot, id len(slot_sid), as both children.  The passes' table has one row
+more, the null slot's, which holds INF throughout: no split record has the
+null slot as parent, and the recolour rule offers an all-INF row only
+INF + 1.  A padding record's sum, 2 INF, still fits in int16 and lowers no
+entry, as every entry is at most INF.  The worklist's state of the null
+slot stays 0, as its row never holds an entry at a bucket, so no padding
+record passes the state test and none is offered.  DPTable keeps the table
+without the null row.
+
 Two modes compute the same least fixed point.  "reference" makes one pass in
 structural order.  A split points from a section to two sections with fewer
 cells, and the recolour rule from ignore set I to I + {d}.  Slots are
@@ -227,6 +239,9 @@ numbered by cell count, so the pass walks slot ranges of equal cell count
 upwards, applies the split rule from the final earlier ones, then closes the
 recolour rule with one min-plus subset transform over the ignore sets, a
 pass per plane bit (Bjorklund et al., "Fourier meets Mobius", STOC 2007).
+The split rule reads the layer's records as a (parent, rank) array: it
+gathers both children rank-major, takes the least sum over the ranks and
+lowers the layer's rows, one slot range, to it.
 "worklist" is Dial's bucketed label-setting pass over the same table, which
 settles entries in value order, an independent cross-check (Dial,
 "Shortest-path forest with topological ordering", CACM 1969).  Each bucket
@@ -287,17 +302,21 @@ _WIDE_CELLS = 7
 # palette of 11 (33.3M) and 1.5 B with a palette of 16 (48.4M).  So the cap
 # keeps a solve's table and temporaries under about 100 MB.
 _TABLE_ENTRY_CAP = 50_000_000
-# Split records a section index may hold.  The index keeps 8 B per record
-# (two int32 child slots), so the cap keeps it under 1 GB and the record ids
-# within int32.  The 2x60 index holds 9.26M records, 74 MB of them.
+# Split records a section index may store, padding included.  The index
+# keeps 8 B per record (two int32 child slots), so the cap keeps it under 1
+# GB and the record ids within int32.  The 2x60 index stores 9.69M records,
+# 9.26M of them its own and 4.7% padding, 78 MB.
 _RECORD_CAP = 125_000_000
-# Entries of one block of a pass's temporaries.  `_lower_by_splits` gathers,
-# adds, min-reduces and lowers a block of records at a time, at most this
-# many sums (their child rows), and the recolour rule works on a block of
-# slots whose (slot, full plane) least values hold at most this many
-# entries, so that every temporary stays one block whatever the colours.
-# A worklist window is whole layers of at most _BLOCK_ENTRIES // (entries
-# per row) split records, or one larger layer (_windows).
+# Entries of one block of a pass's temporaries.  The split kernels gather,
+# add, min-reduce and lower a block of records at a time, at most this many
+# sums (their child rows): `_lower_layer` whole parents' columns of a layer,
+# or chunks of one parent's ranks where its column holds more, and
+# `_lower_by_splits` a run of offered records.  The recolour rule works on a
+# block of slots whose (slot, full plane) least values hold at most this
+# many entries, so that every temporary stays one block whatever the
+# colours.  A worklist window is whole layers of at most _BLOCK_ENTRIES //
+# (entries per row) split records, padding included, or one larger layer
+# (_windows).
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -325,10 +344,12 @@ class _SectionIndex:
     cells as vertex ids row * n + col.  Slots are numbered in structural
     order, by their section's cell count (layer l is slots
     layer_bounds[l]:layer_bounds[l + 1]).  Split records are stored by
-    parent: slot s has records rec_start[s]:rec_start[s + 1], whose children
-    rec_left and rec_right lie in earlier layers.  layer_splits[l] is
-    (parents, starts): the slots of layer l that own records, and each one's
-    first record counted from the layer's first.
+    parent, one rectangle per layer: every slot of layer l holds the layer's
+    width, the largest record count of its slots, so slot s holds records
+    rec_start[s]:rec_start[s + 1] and rec_start steps by the width within a
+    layer.  A slot's own records come first, their children rec_left and
+    rec_right in earlier layers; the rest of its records name the null
+    slot, id len(slot_sid), as both children.
     """
 
     def __init__(self, n: int, deadline=None):
@@ -406,10 +427,6 @@ class _SectionIndex:
         self.seed_cells = np.array(seed_cells, dtype=np.intp).reshape(-1, _SEED_CELLS)
         self.seed_slot = self.slot_of[tuple(np.reshape(seed_at, (-1, 3)).T)].astype(np.intp)
         self._build_records(bt, bb, deadline)
-        owners = np.flatnonzero(self.rec_start[1:] != self.rec_start[:-1])
-        at = np.searchsorted(owners, self.layer_bounds).tolist()
-        self.layer_splits = [(owners[a:b], self.rec_start[owners[a:b]] - self.rec_start[lo])
-                             for lo, a, b in zip(self.layer_bounds.tolist(), at[:-1], at[1:])]
 
     def pair_slot(self, sid, r1, r2):
         """Slot of the end cells r1, r2 of section sid, or None."""
@@ -424,8 +441,9 @@ class _SectionIndex:
         then edge e: top row, bottom row, run column.  By lemmas "split
         edges" and "split parents" they follow from slot_of and each
         border's skew alone.  They are counted first, so that rec_left and
-        rec_right are allocated once at their exact size, then filled per
-        split border and edge."""
+        rec_right are allocated once at their padded size, every slot of a
+        layer at the layer's width and null throughout, then filled per
+        split border and edge, which leaves each slot's tail null."""
         sub = self.slot_of[self.sec_of]  # (x, y, a, b): section (x, y), rows a, b
         # Edge e = 0, 1 joins the children's row-e end cells.  The run
         # column's edge, at borders of skew 1 only, joins the left child's
@@ -442,16 +460,19 @@ class _SectionIndex:
         has_parent = sub >= 0
         counts = np.einsum("keai,kebj->ijab", (left >= 0).astype(np.float32),
                            (right >= 0).astype(np.float32), optimize=True)
-        per_slot = np.zeros(len(self.slot_sid), dtype=np.int64)
+        null = len(self.slot_sid)
+        per_slot = np.zeros(null, dtype=np.int64)
         per_slot[sub[has_parent]] = counts[has_parent]
-        self.rec_start = np.r_[0, np.cumsum(per_slot)]
+        bounds = self.layer_bounds
+        width = np.maximum.reduceat(per_slot, bounds[:-1])
+        self.rec_start = np.r_[0, np.cumsum(np.repeat(width, np.diff(bounds)))]
         total = int(self.rec_start[-1])
         if total > _RECORD_CAP:
             raise CapacityError(
                 f"section index too large: {total:,} split records, cap {_RECORD_CAP:,}; "
                 "use a narrower board")
-        self.rec_left = np.empty(total, dtype=np.int32)
-        self.rec_right = np.empty(total, dtype=np.int32)
+        self.rec_left = np.full(total, null, dtype=np.int32)
+        self.rec_right = np.full(total, null, dtype=np.int32)
         # Parent borders i and j lie before and after k in t + b order.
         order = bt + bb
         spans = zip(np.searchsorted(order, order, side="left").tolist(),
@@ -474,8 +495,8 @@ class _SectionIndex:
                 ids[ok] += 1
 
 
-# Indexes by width, least recently used first.  An index takes 9 MB at
-# n = 30, 23 MB at n = 40 and 80 MB at n = 60, in either mode, so only the
+# Indexes by width, least recently used first.  An index takes 10 MB at
+# n = 30, 24 MB at n = 40 and 82 MB at n = 60, in either mode, so only the
 # last few widths stay.
 _INDEX_CACHE: dict = {}
 _INDEX_CACHE_WIDTHS = 4
@@ -498,8 +519,10 @@ class ZKey:
     r1: int
     r2: int
     d: int
-    # Palette bitmask.  entries() lists masks within the section's colours;
-    # any other reads the same as its bits there (lemma "section colours").
+    # Palette bitmask, bit d for colour d.  entries() lists masks within the
+    # section's colours; any other mask of palette colours reads the same as
+    # its bits there (lemma "section colours"), and lookups refuse a mask
+    # with bits outside the palette.
     ignore: int
 
 
@@ -702,8 +725,11 @@ class DPTable:
         for dp in range(len(self._row)):
             if int(self._read(slot, dp, child)) == v - 1:
                 return ("recolour", (slot, dp, child))
+        null = len(self._values)
         for i in range(index.rec_start.item(slot), index.rec_start.item(slot + 1)):
             ls, rs = index.rec_left.item(i), index.rec_right.item(i)
+            if ls == null:  # the slot's padding: no record follows
+                break
             lv = int(self._read(ls, d, plane))
             if lv <= v and lv + int(self._read(rs, d, plane)) == v:
                 return ("split", (ls, d, plane), (rs, d, plane))
@@ -712,8 +738,8 @@ class DPTable:
     def _slot_of_key(self, z: ZKey):
         """The (slot, palette colour, full plane) a key reads, the plane of
         the key's ignored colours that occur on the board.  Raises
-        InputError for a colour outside the palette or a key with no
-        slot."""
+        InputError for a colour or an ignore mask outside the palette, or a
+        key with no slot."""
         c1, c2 = geo.section_cells(self.board, z.b1, z.b2, z.r1, z.r2)
         sid = self._index.by_geom.get((*z.b1, *z.b2))
         if sid is None:
@@ -723,6 +749,8 @@ class DPTable:
             raise InputError(f"({z.r1}, {z.r2}) is not a valid attachment pair")
         if not 0 <= z.d < len(self._bits):
             raise InputError(f"colour {z.d} outside the palette")
+        if z.ignore < 0 or z.ignore >> len(self._bits):
+            raise InputError(f"ignore mask {z.ignore:#x} names colours outside the palette")
         return slot, z.d, sum(b for d, b in enumerate(self._bits) if z.ignore >> d & 1)
 
     def back_pointer(self, z: ZKey) -> "BackPtr":
@@ -785,7 +813,8 @@ def _goal_slots(board, index):
 
 def _dense_seeds(board, index, masks, bits):
     """Zero seeds of the table, shape (slot, colour on the board, ignore set
-    without that colour's bit) with INF elsewhere, and the plane maps.  A
+    without that colour's bit) with INF elsewhere and in the null slot's
+    last row, which padding records read, and the plane maps.  A
     full plane J is any subset of the k board colours; colour j's plane p
     is the full plane expand[j, p], which lacks bit j.  Returns the seeds,
     the recolour map imap[j, p] = expand[j, p] + {j} and row_of[j, J], J
@@ -796,7 +825,7 @@ def _dense_seeds(board, index, masks, bits):
     row_of = (full & below) | ((full >> 1) & ~below)
     compressed = full[: 1 << (k - 1)]
     expand = (compressed & below) | ((compressed & ~below) << 1)
-    t_init = np.full((len(index.slot_sid), k, len(compressed)), INF, dtype=np.int16)
+    t_init = np.full((len(index.slot_sid) + 1, k, len(compressed)), INF, dtype=np.int16)
     # A listed path seeds its slot with colour d if every cell has colour d.
     # A slot may have several such paths, all with its r1 cell's colour.
     colours = np.ravel(board.cells)[index.seed_cells]
@@ -852,16 +881,16 @@ def _recolour(t, imap, row_of, deadline, close=False):
         np.minimum(run, low.take(imap, axis=1), out=run)
 
 
-def _lower_by_splits(t, left, right, parents, starts, deadline, k=None):
-    """The split rule over one run of records grouped by parent, on the
-    table as rows (slot, entries), a block of records at a time: gather and
-    add the children's rows, take each parent's least sum (starts: its
-    first record in the run) and lower the parent's row to it.  A block
-    holds at most _BLOCK_ENTRIES sums, so it may cut a parent's records;
-    that parent is lowered once per block, to the same least sum.  Returns
-    per parent whether an entry dropped from above k to k (none without
-    k).  A cut parent reports the same drops: the worklist offers no entry
-    above k a sum below k, as every value below k is final."""
+def _lower_by_splits(t, left, right, parents, starts, deadline, k):
+    """The split rule over the worklist's offered records, grouped by
+    parent, on the table as rows (slot, entries), a block of records at a
+    time: gather and add the children's rows, take each parent's least sum
+    (starts: its first record in the run) and lower the parent's row to it.
+    A block holds at most _BLOCK_ENTRIES sums, so it may cut a parent's
+    records; that parent is lowered once per block, to the same least sum.
+    Returns per parent whether an entry dropped from above k to k.  A cut
+    parent reports the same drops: the worklist offers no entry above k a
+    sum below k, as every value below k is final."""
     dropped = np.zeros(len(parents), dtype=bool)
     size = max(1, _BLOCK_ENTRIES // t.shape[1])
     p1 = 0
@@ -882,11 +911,32 @@ def _lower_by_splits(t, left, right, parents, starts, deadline, k=None):
         low = np.minimum.reduceat(sums, at, axis=0)
         rows = parents[p0:p1]
         old = t[rows]
-        if k is not None:
-            dropped[p0:p1] |= ((low == k) & (old > k)).any(axis=1)
+        dropped[p0:p1] |= ((low == k) & (old > k)).any(axis=1)
         np.minimum(old, low, out=low)
         t[rows] = low
     return dropped
+
+
+def _lower_layer(t, rows, left, right, deadline):
+    """The split rule over one layer of the table t as rows (slot, entries),
+    in place: rows is the layer's run of t, left and right its records as
+    (parent, rank).  Each block gathers and adds the children's rows of a
+    block of ranks, rank-major, takes the least sum over them and lowers the
+    parents' rows to it.  A block holds at most _BLOCK_ENTRIES sums: whole
+    columns of some parents, or, where one parent's column holds more, a
+    chunk of its ranks, so that parent is lowered once per chunk."""
+    parents, width = left.shape
+    ranks = max(1, min(width, _BLOCK_ENTRIES // t.shape[1]))
+    size = max(1, _BLOCK_ENTRIES // (ranks * t.shape[1]))
+    for a in range(0, parents, size):
+        out = rows[a:a + size]
+        for r in range(0, width, ranks):
+            _check_deadline(deadline)
+            # Record ids are in range by construction, and mode "clip"
+            # skips the bounds check of mode "raise".
+            sums = t.take(left[a:a + size, r:r + ranks].T, axis=0, mode="clip")
+            sums += t.take(right[a:a + size, r:r + ranks].T, axis=0, mode="clip")
+            np.minimum(out, sums.min(axis=0), out=out)
 
 
 def _solve_dense(t, imap, row_of, index, deadline):
@@ -904,15 +954,17 @@ def _solve_dense(t, imap, row_of, index, deadline):
     Returns the number of layers.
     """
     # Slot-major, (slot, colour, ignore set): a layer is one contiguous slot
-    # range, its split records one run, and each child one row of entries.
+    # range, its split records one (parent, rank) rectangle, and each child
+    # one row of entries.
     flat = t.reshape(len(t), -1)
-    bounds, rec_start = index.layer_bounds.tolist(), index.rec_start
-    for lo, hi, (parents, starts) in zip(bounds[:-1], bounds[1:], index.layer_splits):
+    bounds = index.layer_bounds.tolist()
+    edges = index.rec_start[index.layer_bounds].tolist()
+    for lo, hi, rlo, rhi in zip(bounds[:-1], bounds[1:], edges[:-1], edges[1:]):
         _check_deadline(deadline)
-        if len(parents):
-            rlo, rhi = rec_start[lo], rec_start[hi]
-            _lower_by_splits(flat, index.rec_left[rlo:rhi], index.rec_right[rlo:rhi],
-                             parents, starts, deadline)
+        if rhi > rlo:
+            shape = (hi - lo, (rhi - rlo) // (hi - lo))
+            _lower_layer(flat, flat[lo:hi], index.rec_left[rlo:rhi].reshape(shape),
+                         index.rec_right[rlo:rhi].reshape(shape), deadline)
         _recolour(t[lo:hi], imap, row_of, deadline, close=True)
     return len(bounds) - 1
 
@@ -977,8 +1029,9 @@ def _solve_buckets(best, imap, row_of, index, deadline):
     # Slot states: 0 unsettled, 1 settled, 3 holds an entry at k, 2 dropped
     # to k in the window's last offer.  A record with children in states x
     # and y is offered if x * y >= 3, and on a rescan if x * y is even and
-    # positive, that is, a child is at 2.
-    state = np.zeros(len(index.slot_sid), dtype=np.uint8)
+    # positive, that is, a child is at 2.  The null slot's row is INF, so
+    # it stays at 0 and no padding record passes either test.
+    state = np.zeros(len(best), dtype=np.uint8)
 
     def offer(a, b, k, rescan):
         """Offer the split sums of the records a:b that pass the state
@@ -1044,7 +1097,7 @@ def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference"
     else:
         _solve_buckets(values, imap, row_of, index, deadline)
         sweeps = 0
-    table = DPTable(board, index, mode, masks, bits, target, values, row_of, sweeps)
+    table = DPTable(board, index, mode, masks, bits, target, values[:-1], row_of, sweeps)
 
     best, goal = table.board_value(target)
     if best >= INF:

@@ -301,10 +301,18 @@ def test_index_geometry_matches_board_functions(n):
         got_slots.append((Border(t1, bb1), Border(t2, bb2), v1, v2))
     assert sorted(index.by_geom) == sorted((*b1, *b2) for b1, b2 in sections)
     assert sorted(got_slots) == sorted(slots)
-    parents = np.repeat(np.arange(len(index.slot_sid)), np.diff(index.rec_start))
+    parents, left, right = _own_records(index)
     assert len(parents) == len(records)
     assert {(got_slots[p], got_slots[l], got_slots[r]) for p, l, r in zip(
-        parents.tolist(), index.rec_left.tolist(), index.rec_right.tolist())} == records
+        parents.tolist(), left.tolist(), right.tolist())} == records
+
+
+def _own_records(index):
+    """The (parent, left, right) slots of every record that is not padding,
+    in stored order."""
+    parents = np.repeat(np.arange(len(index.slot_sid)), np.diff(index.rec_start))
+    own = index.rec_left != len(index.slot_sid)
+    return parents[own], index.rec_left[own], index.rec_right[own]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -321,9 +329,31 @@ def test_slots_are_numbered_in_layer_order(n):
     assert (sizes[bounds[1:-1]] > sizes[bounds[1:-1] - 1]).all()
     assert index.rec_start[0] == 0 and (np.diff(index.rec_start) >= 0).all()
     assert index.rec_start[-1] == len(index.rec_left) == len(index.rec_right)
-    parents = np.repeat(np.arange(len(index.slot_sid)), np.diff(index.rec_start))
-    assert (sizes[index.rec_left] < sizes[parents]).all()
-    assert (sizes[index.rec_right] < sizes[parents]).all()
+    parents, left, right = _own_records(index)
+    assert (sizes[left] < sizes[parents]).all()
+    assert (sizes[right] < sizes[parents]).all()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_records_are_one_rectangle_per_layer(n):
+    # Every slot of a layer holds the layer's width, the largest count of
+    # own records among its slots, so rec_start steps by the width.  A
+    # slot's own records come first; the rest name the null slot as both
+    # children.
+    index = dp2xn._SectionIndex(n)
+    null = len(index.slot_sid)
+    steps = np.diff(index.rec_start)
+    bounds = index.layer_bounds
+    layer = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    own = index.rec_left != null
+    assert np.array_equal(own, index.rec_right != null)
+    assert index.rec_left.dtype == index.rec_right.dtype == np.int32
+    parents = np.repeat(np.arange(null), steps)
+    counts = np.bincount(parents[own], minlength=null)
+    width = np.maximum.reduceat(counts, bounds[:-1])
+    assert np.array_equal(steps, width[layer])
+    rank = np.arange(len(own)) - index.rec_start[parents]
+    assert np.array_equal(own, rank < counts[parents])
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -338,10 +368,12 @@ def test_windows_reach_every_record_from_both_children(n):
     parents = np.repeat(np.arange(len(index.slot_sid)), np.diff(index.rec_start))
     layer = np.repeat(np.arange(len(index.layer_bounds) - 1), np.diff(index.layer_bounds))
     edges = index.rec_start[index.layer_bounds]
+    own = index.rec_left != len(index.slot_sid)
+    left, right = index.rec_left[own], index.rec_right[own]
     for cap in (8192, 16, 64):
         bounds, above = dp2xn._windows(index, cap)
-        ids = np.arange(records)
-        assert (ids >= above[index.rec_left]).all() and (ids >= above[index.rec_right]).all()
+        ids = np.arange(records)[own]
+        assert (ids >= above[left]).all() and (ids >= above[right]).all()
         assert np.array_equal(above, edges[layer + 1])
         assert bounds[0] == 0 and bounds[-1] == records
         assert all(a < b for a, b in zip(bounds[:-1], bounds[1:]))
@@ -373,16 +405,24 @@ def test_worklist_solve_leaves_the_index_as_a_reference_solve_does(monkeypatch):
 
 
 def test_index_over_record_cap_is_refused_and_not_cached(monkeypatch):
-    records = len(dp2xn._SectionIndex(8).rec_left)
-    monkeypatch.setattr(dp2xn, "_RECORD_CAP", records - 1)
-    monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
+    # The cap counts stored records, padding included: a cap that holds the
+    # own records but not the padding refuses the index.
+    index = dp2xn._SectionIndex(8)
+    records = len(index.rec_left)
+    own = int(np.count_nonzero(index.rec_left != len(index.slot_sid)))
+    assert own < records
     board = random_board(random.Random(63), 8, 3)
-    solve(board_of("ab", "ba"))
-    cached = dict(dp2xn._INDEX_CACHE)
-    for mode in ("reference", "worklist"):
-        with pytest.raises(CapacityError, match="split records"):
-            solve(board, mode=mode)
-        assert dp2xn._INDEX_CACHE == cached
+    for cap in (records - 1, own):
+        monkeypatch.setattr(dp2xn, "_RECORD_CAP", cap)
+        monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
+        solve(board_of("ab", "ba"))
+        cached = dict(dp2xn._INDEX_CACHE)
+        for mode in ("reference", "worklist"):
+            with pytest.raises(CapacityError, match="split records"):
+                solve(board, mode=mode)
+            assert dp2xn._INDEX_CACHE == cached
+    monkeypatch.setattr(dp2xn, "_RECORD_CAP", records)
+    solve(board)
 
 
 def test_index_cache_keeps_the_most_recent_widths(monkeypatch):
@@ -431,8 +471,9 @@ def test_time_budget_is_honoured_promptly(monkeypatch):
 def test_pass_time_budget_is_honoured_promptly(mode):
     # The index for this width is built first, so the budget runs out inside
     # the pass itself.  Measured on a 2-core x86-64 host: the structural-order
-    # pass takes 0.13-0.21 s here and the bucketed pass 0.44-0.70 s.
-    board = random_board(random.Random(40), 40, 4)
+    # pass takes 0.22-0.31 s at 2x60 (0.074-0.11 s at 2x40, within reach of
+    # the budget) and the bucketed pass 0.44-0.70 s at 2x40.
+    board = random_board(random.Random(40), 60 if mode == "reference" else 40, 4)
     dp2xn._get_index(board.n)
     start = time.monotonic()
     with pytest.raises(BudgetExceededError):
@@ -467,9 +508,9 @@ def test_split_kernel_blocks_and_offers_do_not_change_tables(monkeypatch):
 
 def test_windows_that_merge_layers_do_not_change_tables(monkeypatch):
     # With 2 colours on the board a row holds 4 entries, so blocks of 1,100
-    # entries make the 2x8 layers of 30 and 84 records one worklist window,
-    # whose drops only the window's rescan follows, and leave each layer of
-    # more than 275 records a window alone.
+    # entries make the 2x8 layers of 46 and 168 stored records (padding
+    # included) one worklist window, whose drops only the window's rescan
+    # follows, and leave each layer of more than 275 records a window alone.
     rng = random.Random(1040)
     boards = [random_board(rng, 8, 2) for _ in range(8)]
     reference = [solve(board, mode="reference")[1]._dense for board in boards]
@@ -489,9 +530,11 @@ def test_windows_that_merge_layers_do_not_change_tables(monkeypatch):
 
 def test_blocks_that_cut_a_parents_records_do_not_change_tables(monkeypatch):
     # With 6 to 8 colours on the board a slot's row holds 192 to 1,024
-    # entries, so a block of 2,048 entries holds 2 to 10 records: the split
-    # kernel cuts the records of one parent over several blocks, and the
-    # recolour rule works on blocks of 8 to 32 slots.
+    # entries, so a block of 2,048 entries holds 2 to 10 records: the
+    # reference pass lowers a parent whose column (the layer's width in
+    # rows) exceeds a block once per chunk of ranks, the worklist kernel
+    # cuts the records of one parent over several blocks, and the recolour
+    # rule works on blocks of 8 to 32 slots.
     rng = random.Random(1020)
     boards = []
     for n, colours in ((4, 6), (4, 7), (4, 8), (5, 6), (5, 7), (5, 8)):
@@ -505,9 +548,34 @@ def test_blocks_that_cut_a_parents_records_do_not_change_tables(monkeypatch):
     for mode in modes:
         for board, dense in zip(boards, expected[mode]):
             table = solve(board, mode=mode)[1]
-            records = np.diff(table._index.rec_start).max()
-            assert records > block // table._values[0].size, board.cells
+            width = np.diff(table._index.rec_start).max()
+            assert width * table._values[0].size > block, board.cells
             assert np.array_equal(table._dense, dense), (mode, board.cells)
+
+
+def test_worklist_never_offers_a_padding_record(monkeypatch):
+    # Padding records name the null slot, whose state stays 0, so the
+    # worklist's state tests never pass one to the split kernel.  The
+    # reference pass lowers layers without that kernel.
+    calls = []
+
+    def spy(t, left, right, *args):
+        calls.append((len(t) - 1, left, right))
+        return lower(t, left, right, *args)
+
+    lower = dp2xn._lower_by_splits
+    monkeypatch.setattr(dp2xn, "_lower_by_splits", spy)
+    rng = random.Random(1050)
+    for n in range(2, 9):
+        board = random_board(rng, n, rng.randint(2, 4))
+        solve(board, mode="reference")
+        assert not calls
+        index = solve(board, mode="worklist")[1]._index
+        null = len(index.slot_sid)
+        assert (index.rec_left == null).any()
+        assert calls and all(slot == null for slot, _, _ in calls)
+        assert all((left < null).all() and (right < null).all() for _, left, right in calls)
+        calls.clear()
 
 
 def test_split_kernel_reports_drops_of_parents_cut_over_blocks(monkeypatch):
@@ -591,13 +659,16 @@ def test_tables_are_the_least_fixed_point_of_the_rules():
             values = table._dense.transpose(1, 2, 0).astype(np.int64)
             seeds = np.full(values.shape, dp2xn.INF, dtype=np.int64)
             stored = dp2xn._dense_seeds(board, index, table._masks, bits)[0]
+            assert len(stored) == len(index.slot_sid) + 1 and (stored[-1] == dp2xn.INF).all()
             for j, d in enumerate(present):
-                seeds[d] = stored[:, j, planes[j]].T
+                seeds[d] = stored[:-1, j, planes[j]].T
             imap = np.arange(1 << k)[None, :] | bits[:, None]  # I + {d}
             rules = np.minimum(seeds, values.min(axis=0)[imap] + 1)
-            sums = values[:, :, index.rec_left] + values[:, :, index.rec_right]
+            parents, left, right = _own_records(index)
+            sums = values[:, :, left] + values[:, :, right]
+            starts = parents.searchsorted(np.arange(len(index.slot_sid) + 1))
             for slot in range(len(index.slot_sid)):
-                lo, hi = index.rec_start[slot], index.rec_start[slot + 1]
+                lo, hi = starts[slot], starts[slot + 1]
                 if hi > lo:
                     np.minimum(rules[:, :, slot], sums[:, :, lo:hi].min(axis=2),
                                out=rules[:, :, slot])
@@ -827,6 +898,23 @@ def test_keys_with_a_colour_outside_the_palette_are_rejected():
             table.value_of(bad)
         with pytest.raises(InputError, match="outside the palette"):
             table.back_pointer(bad)
+
+
+def test_keys_with_an_ignore_mask_outside_the_palette_are_rejected():
+    # Masks name palette colours, bit d for colour d: a negative mask or a
+    # bit at or above the palette size names none.  Every mask of palette
+    # bits still reads.
+    board = board_of("ab", "ba")
+    _, table = solve(board)
+    key = next(iter(table.entries()))
+    for ignore in (1 << 40, -1, 1 << len(board.palette), key.ignore | 4):
+        bad = ZKey(key.b1, key.b2, key.r1, key.r2, key.d, ignore)
+        with pytest.raises(InputError, match="outside the palette"):
+            table.value_of(bad)
+        with pytest.raises(InputError, match="outside the palette"):
+            table.back_pointer(bad)
+    for ignore in range(1 << len(board.palette)):
+        table.value_of(ZKey(key.b1, key.b2, key.r1, key.r2, key.d, ignore))
 
 
 def test_palette_beyond_board_colours_solves_exactly_in_both_modes():
