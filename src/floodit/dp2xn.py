@@ -238,7 +238,8 @@ cells, and the recolour rule from ignore set I to I + {d}.  Slots are
 numbered by cell count, so the pass walks slot ranges of equal cell count
 upwards, applies the split rule from the final earlier ones, then closes the
 recolour rule with one min-plus subset transform over the ignore sets, a
-pass per plane bit (Bjorklund et al., "Fourier meets Mobius", STOC 2007).
+pass per plane bit (Bjorklund et al., "Fourier meets Mobius", STOC 2007),
+which lemma "popcount shift" turns into a plain superset minimum.
 The split rule reads the layer's records as a (parent, rank) array: it
 gathers both children rank-major, takes the least sum over the ranks and
 lowers the layer's rows, one slot range, to it.
@@ -250,6 +251,20 @@ order, a window of layers at a time: a record is offered once both children
 are settled and one holds an entry at the bucket, and a window rescans its
 own records above the slots its offers lowered to the bucket.  It reads the
 same index arrays as the reference pass.
+
+Lemma (popcount shift).  Let W(J) be a slot's least value over the board's
+colours on full plane J, and X(J) = W(J) + |J|.  The recolour closure
+W'(J), the least W(K) + |K - J| over supersets K of J, is X'(J) - |J|,
+with X'(J) the least X(K) over those K.  Proof.  For K a superset of J,
+|K - J| = |K| - |J|, so W(K) + |K - J| = X(K) - |J|.  So the reference
+pass adds |J| once and takes the superset minimum, one bit b at a time:
+every J takes min(X(J), X(J + b)), a take of the plane map J -> J + {b}
+and one np.minimum with no + 1, which leaves J unchanged where b is in J.
+Then it adds 1 - |J| to read 1 + W'(J) for the rule.  It stays exact in
+int16: W is at most INF = 2^14 - 1, so X is at most INF + k, and the entry
+cap keeps k at 12 or below, far under the 2^15 - 1 - INF that int16 leaves.
+The plane maps and both offsets depend on k alone, so one read-only plane
+plan per colour count serves every solve (_PlanePlan).
 
 The table is the int16 array both passes relax, slot-major (slot, colour on
 the board, ignore set without its bit): a slot's k x 2^(k-1) entries are one
@@ -495,21 +510,60 @@ class _SectionIndex:
                 ids[ok] += 1
 
 
-# Indexes by width, least recently used first.  An index takes 10 MB at
-# n = 30, 24 MB at n = 40 and 82 MB at n = 60, in either mode, so only the
-# last few widths stay.
+class _PlanePlan:
+    """The ignore-set plane maps of k board colours, read-only and shared
+    by every solve with k colours.  A full plane J is a subset of the k
+    colours, and colour j's plane p is the full plane expand[j, p], which
+    lacks bit j.  Full plane J reads colour j's plane row_of[j, J], J
+    without bit j, and gather[j, J] = j * 2^(k-1) + row_of[j, J] is that
+    entry's column in a slot's row of k x 2^(k-1) entries.  imap[j, p]
+    = expand[j, p] + {j} is the full plane the recolour rule reads.  The
+    recolour closure reads plus[j, J] = J + {j} and adds the offsets size[J]
+    = |J| and lift[J] = 1 - |J| (lemma "popcount shift")."""
+
+    def __init__(self, k: int):
+        below = (1 << np.arange(k, dtype=np.intp))[:, None] - 1  # bits under bit j
+        full = np.arange(1 << k, dtype=np.intp)
+        compressed = full[: 1 << (k - 1)]
+        self.expand = (compressed & below) | ((compressed & ~below) << 1)
+        self.imap = self.expand | (below + 1)
+        self.plus = full | (below + 1)
+        row_of = (full & below) | ((full >> 1) & ~below)
+        self.gather = row_of + (np.arange(k, dtype=np.intp)[:, None] << (k - 1))
+        self.size = sum((full >> j) & 1 for j in range(k)).astype(np.int16)
+        self.lift = 1 - self.size
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+
+# Indexes by width and plane plans by colour count, least recently used
+# first.  An index takes 10 MB at n = 30, 24 MB at n = 40 and 82 MB at n =
+# 60, in either mode, so only the last few widths stay.  A plan of k
+# colours takes about 3k x 2^k x 8 B, 1.2 MB at the 12 colours the entry cap
+# admits at most (on 2x6 to 2x8 boards).
 _INDEX_CACHE: dict = {}
+_PLAN_CACHE: dict = {}
 _INDEX_CACHE_WIDTHS = 4
 
 
+def _cached(cache, key, build):
+    """cache[key], built on a miss, as the most recently used entry; the
+    least recently used entries beyond _INDEX_CACHE_WIDTHS are dropped."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+    cache[key] = value
+    while len(cache) > _INDEX_CACHE_WIDTHS:
+        del cache[next(iter(cache))]
+    return value
+
+
 def _get_index(n: int, deadline=None) -> _SectionIndex:
-    idx = _INDEX_CACHE.pop(n, None)
-    if idx is None:
-        idx = _SectionIndex(n, deadline)
-    _INDEX_CACHE[n] = idx
-    while len(_INDEX_CACHE) > _INDEX_CACHE_WIDTHS:
-        del _INDEX_CACHE[next(iter(_INDEX_CACHE))]
-    return idx
+    return _cached(_INDEX_CACHE, n, lambda: _SectionIndex(n, deadline))
+
+
+def _get_plan(k: int) -> _PlanePlan:
+    return _cached(_PLAN_CACHE, k, lambda: _PlanePlan(k))
 
 
 @dataclass(frozen=True)
@@ -565,6 +619,15 @@ class BackPtr:
     x2: Optional[int] = None
 
 
+def _check_palette(z: ZKey, c: int):
+    """Raise InputError for a key whose colour or ignore mask lies outside
+    a palette of c colours."""
+    if not 0 <= z.d < c:
+        raise InputError(f"colour {z.d} outside the palette")
+    if z.ignore < 0 or z.ignore >> c:
+        raise InputError(f"ignore mask {z.ignore:#x} names colours outside the palette")
+
+
 def tree_exists(board: Board2xN, b1: Border, b2: Border, r1: int, r2: int) -> bool:
     """Can the section between b1 and b2 be spanned by a tree whose non-leaf
     vertices all lie on the r1-r2 path?
@@ -581,9 +644,8 @@ def zero_test(board: Board2xN, z: ZKey) -> bool:
     """Does the section hold a d-coloured r1-r2 path that dominates it, with
     every off-path cell coloured from I + {d}?"""
     c1, c2 = geo.section_cells(board, z.b1, z.b2, z.r1, z.r2)
+    _check_palette(z, len(board.palette))
     d = z.d
-    if not 0 <= d < len(board.palette):
-        raise InputError(f"colour {d} outside the palette")
     allowed = z.ignore | (1 << d)
 
     def on_ok(row, col):
@@ -614,7 +676,7 @@ def _section_masks(board, index, bits):
 class DPTable:
     """Solved table: values over the key space plus solve metadata."""
 
-    def __init__(self, board, index, mode, masks, bits, target, values, row_of, sweeps=0):
+    def __init__(self, board, index, mode, masks, bits, target, values, plan, sweeps=0):
         self.board = board
         self.mode = mode
         self.target = target
@@ -624,10 +686,11 @@ class DPTable:
         # Table row per palette colour: its bit's position, -1 if absent.
         self._row = [b.bit_length() - 1 for b in self._bits]
         # The pass's own int16 array, (slot, colour on the board, ignore
-        # set without that colour's bit); row_of[j, J] is the plane of
-        # colour j that full plane J reads.
+        # set without that colour's bit), and its rows of entries, which
+        # the plan's gather map reads.
         self._values = values
-        self._row_of = row_of
+        self._rows = values.reshape(len(values), -1)
+        self._plan = plan
         self._sweeps = sweeps
         self._entries = None
         self.value = None
@@ -637,29 +700,30 @@ class DPTable:
 
     def _read(self, slot, d, plane):
         """Values of (slot, palette colour d, full plane): one entry for an
-        int slot and plane, (slot, plane) for slice(None) and an array of
-        planes.  A colour on the board reads its entry at the plane without
-        its own bit (lemma "own bit"), an absent colour one more than the
-        least value over the board's colours (lemma "absent colours")."""
+        int slot and plane, (slot, plane) for slice(None) and a slice or an
+        array of planes.  A colour on the board reads its entry at the plane
+        without its own bit (lemma "own bit"), an absent colour one more
+        than the least value over the board's colours (lemma "absent
+        colours")."""
         j = self._row[d]
+        gather = self._plan.gather
         if j >= 0:
             if type(slot) is int:  # the common lookup, without array scalars
-                return self._values.item(slot, j, self._row_of.item(j, plane))
-            return _entries(self._values[slot], j, self._row_of[j, plane])
-        least = _least_over_colours(self._values[slot], self._row_of[:, plane])
+                return self._rows.item(slot, gather.item(j, plane))
+            return self._rows[slot].take(gather[j, plane], axis=-1)
+        least = _least_over_colours(self._rows[slot], gather[:, plane])
         return np.minimum(least + 1, INF)
 
     def _colour_planes(self):
         """Each palette colour's values on every full plane, (slot, plane),
         expanded a colour at a time.  Absent colours share one array."""
-        planes = np.arange(self._row_of.shape[1])
         absent = None
         for d, j in enumerate(self._row):
             if j >= 0:
-                yield self._read(slice(None), d, planes)
+                yield self._read(slice(None), d, slice(None))
                 continue
             if absent is None:
-                absent = self._read(slice(None), d, planes)
+                absent = self._read(slice(None), d, slice(None))
             yield absent
 
     @functools.cached_property
@@ -667,7 +731,7 @@ class DPTable:
         """The values as (slot, palette colour, full plane) over all 2^k
         planes, expanded on first access, for tests and cross-checks.
         Lookups and stats() go through _read instead."""
-        full = np.empty((len(self._values), len(self._row), self._row_of.shape[1]),
+        full = np.empty((len(self._values), len(self._row), self._plan.gather.shape[1]),
                         dtype=self._values.dtype)
         for d, planes in enumerate(self._colour_planes()):
             full[:, d] = planes
@@ -682,7 +746,7 @@ class DPTable:
         """canon[slot, plane]: the plane holds only colours of the slot's
         section."""
         # int32 holds every plane: the entry cap keeps 2^colours <= 2^25.
-        planes = np.arange(self._row_of.shape[1], dtype=np.int32)
+        planes = np.arange(self._plan.gather.shape[1], dtype=np.int32)
         slot_masks = self._masks[self._index.slot_sid].astype(np.int32)
         return (planes[None, :] & ~slot_masks[:, None]) == 0
 
@@ -747,10 +811,7 @@ class DPTable:
         slot = self._index.pair_slot(sid, c1, c2)
         if slot is None:
             raise InputError(f"({z.r1}, {z.r2}) is not a valid attachment pair")
-        if not 0 <= z.d < len(self._bits):
-            raise InputError(f"colour {z.d} outside the palette")
-        if z.ignore < 0 or z.ignore >> len(self._bits):
-            raise InputError(f"ignore mask {z.ignore:#x} names colours outside the palette")
+        _check_palette(z, len(self._bits))
         return slot, z.d, sum(b for d, b in enumerate(self._bits) if z.ignore >> d & 1)
 
     def back_pointer(self, z: ZKey) -> "BackPtr":
@@ -814,18 +875,11 @@ def _goal_slots(board, index):
 def _dense_seeds(board, index, masks, bits):
     """Zero seeds of the table, shape (slot, colour on the board, ignore set
     without that colour's bit) with INF elsewhere and in the null slot's
-    last row, which padding records read, and the plane maps.  A
-    full plane J is any subset of the k board colours; colour j's plane p
-    is the full plane expand[j, p], which lacks bit j.  Returns the seeds,
-    the recolour map imap[j, p] = expand[j, p] + {j} and row_of[j, J], J
-    without bit j, the plane of colour j that full plane J reads."""
-    k = int(np.count_nonzero(bits))
-    below = (1 << np.arange(k, dtype=np.intp))[:, None] - 1  # bits under bit j
-    full = np.arange(1 << k, dtype=np.intp)
-    row_of = (full & below) | ((full >> 1) & ~below)
-    compressed = full[: 1 << (k - 1)]
-    expand = (compressed & below) | ((compressed & ~below) << 1)
-    t_init = np.full((len(index.slot_sid) + 1, k, len(compressed)), INF, dtype=np.int16)
+    last row, which padding records read.  Returns the seeds and the plane
+    plan of the board's colour count, built once per count (_get_plan)."""
+    plan = _get_plan(int(np.count_nonzero(bits)))
+    k, planes = plan.expand.shape
+    t_init = np.full((len(index.slot_sid) + 1, k, planes), INF, dtype=np.int16)
     # A listed path seeds its slot with colour d if every cell has colour d.
     # A slot may have several such paths, all with its r1 cell's colour.
     colours = np.ravel(board.cells)[index.seed_cells]
@@ -837,48 +891,45 @@ def _dense_seeds(board, index, masks, bits):
     j = (np.cumsum(bits > 0) - 1)[d]
     # Seed every plane that holds the section's colours other than d.
     base = masks[index.slot_sid[slots]] & ~bits[d]
-    hit, plane = np.nonzero((expand[j] & base[:, None]) == base[:, None])
+    hit, plane = np.nonzero((plan.expand[j] & base[:, None]) == base[:, None])
     t_init[slots[hit], j[hit], plane] = 0
-    return t_init, expand | (below + 1), row_of
+    return t_init, plan
 
 
-def _entries(t, j, planes):
-    """Colour j's entries t[..., j, planes], taken from each slot's row:
-    (slots, planes) for a run of slots and an array of planes.  An index
-    over (slot, colour, plane) takes two to three times as long on boards
-    of 8 colours."""
-    return t.reshape(*t.shape[:-2], -1).take(planes + j * t.shape[-1], axis=-1)
-
-
-def _least_over_colours(t, row_of):
-    """The least value over the table's colours, W(J) = min_j t[..., j,
-    row_of[j, J]], gathered a colour at a time: (slots, planes) for a run
-    of slots and the map's columns of some planes, one value for one slot
-    and one plane's map column."""
-    low = _entries(t, 0, row_of[0])
-    for j in range(1, len(row_of)):
-        low = np.minimum(low, _entries(t, j, row_of[j]))
+def _least_over_colours(rows, gather):
+    """The least value over the table's colours, W(J) = min_j of the
+    entry in column gather[j, J] of each row, a colour at a time: (slots,
+    planes) for a run of rows and some of the map's columns, one value for
+    one row and one plane's column.  A take of a row's columns is two to
+    three times as fast as an index over (slot, colour, plane) on boards of
+    8 colours."""
+    low = rows.take(gather[0], axis=-1)
+    for cols in gather[1:]:
+        low = np.minimum(low, rows.take(cols, axis=-1))
     return low
 
 
-def _recolour(t, imap, row_of, deadline, close=False):
+def _recolour(t, plan, deadline, close=False):
     """The recolour rule on the run of slots t, in place, a block of slots
-    at a time: colour j's entry on plane p takes 1 + W(expand[j, p] + {j})
-    where that is less, W the least value over the board's colours.  With
-    close, W first takes the least W(K) + |K - J| over supersets K of each
-    full plane J, one min-plus pass per plane bit."""
-    k, planes = row_of.shape
-    size = max(1, _BLOCK_ENTRIES // planes)
+    at a time: colour j's entry on plane p takes 1 + W(imap[j, p]) where
+    that is less, W the least value over the board's colours.  With close,
+    W first takes the least W(K) + |K - J| over supersets K of each full
+    plane J: the least X(K) = W(K) + |K| over them, one take of plus and
+    one np.minimum per plane bit, then lift adds 1 - |J| (lemma "popcount
+    shift").  Without it, the rule reads 1 + W."""
+    size = max(1, _BLOCK_ENTRIES // plan.gather.shape[1])
     for a in range(0, len(t), size):
         _check_deadline(deadline)
         run = t[a:a + size]
-        low = _least_over_colours(run, row_of)  # W, (slot, full plane)
+        low = _least_over_colours(run.reshape(len(run), -1), plan.gather)
         if close:
-            for j in range(k):
-                pair = low.reshape(len(low), planes >> (j + 1), 2, 1 << j)
-                np.minimum(pair[:, :, 0], pair[:, :, 1] + 1, out=pair[:, :, 0])
-        low += 1
-        np.minimum(run, low.take(imap, axis=1), out=run)
+            low += plan.size  # X, (slot, full plane)
+            for plus in plan.plus:
+                np.minimum(low, low.take(plus, axis=1), out=low)
+            low += plan.lift
+        else:
+            low += 1
+        np.minimum(run, low.take(plan.imap, axis=1), out=run)
 
 
 def _lower_by_splits(t, left, right, parents, starts, deadline, k):
@@ -939,7 +990,7 @@ def _lower_layer(t, rows, left, right, deadline):
             np.minimum(out, sums.min(axis=0), out=out)
 
 
-def _solve_dense(t, imap, row_of, index, deadline):
+def _solve_dense(t, plan, index, deadline):
     """One relaxation pass in structural order over the table t of
     _dense_seeds, in place.
 
@@ -948,8 +999,10 @@ def _solve_dense(t, imap, row_of, index, deadline):
     layer's least value over the board's colours on full plane J after the
     splits, and W(J) the same after the recolour rule: W(J) = min(B(J), 1 +
     min W(J + b)) over plane bits b not in J.  Unrolled, W(J) is the least
-    B(K) + |K - J| over supersets K of J, one pass W(J) <= W(J + b) + 1 per
-    bit.  Then colour j's row on plane I takes 1 + W(I + {j}).
+    B(K) + |K - J| over supersets K of J: the least B(K) + |K| over them,
+    less |J|, one plain minimum per plane bit (lemma "popcount shift").  Then
+    colour j's row on plane I takes 1 + W(I + {j}).  The plane plan holds
+    the maps and offsets for the board's colour count.
 
     Returns the number of layers.
     """
@@ -965,7 +1018,7 @@ def _solve_dense(t, imap, row_of, index, deadline):
             shape = (hi - lo, (rhi - rlo) // (hi - lo))
             _lower_layer(flat, flat[lo:hi], index.rec_left[rlo:rhi].reshape(shape),
                          index.rec_right[rlo:rhi].reshape(shape), deadline)
-        _recolour(t[lo:hi], imap, row_of, deadline, close=True)
+        _recolour(t[lo:hi], plan, deadline, close=True)
     return len(bounds) - 1
 
 
@@ -987,7 +1040,7 @@ def _windows(index, cap):
     return bounds, np.repeat(edges[1:], np.diff(index.layer_bounds))
 
 
-def _solve_buckets(best, imap, row_of, index, deadline):
+def _solve_buckets(best, plan, index, deadline):
     """Bucketed label-setting pass (Dial's algorithm) over the table best of
     _dense_seeds, in place.
 
@@ -1070,7 +1123,7 @@ def _solve_buckets(best, imap, row_of, index, deadline):
                 again = offer(a, b, k, True) if a < b else dropped[:0]
                 state[dropped] = 3
                 dropped = again
-        _recolour(best, imap, row_of, deadline)
+        _recolour(best, plan, deadline)
 
 
 def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference",
@@ -1091,13 +1144,13 @@ def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference"
             f"key space too large: {entries:,} table entries, cap {_TABLE_ENTRY_CAP:,}; "
             "use fewer colours or a narrower board")
     masks = _section_masks(board, index, bits)
-    values, imap, row_of = _dense_seeds(board, index, masks, bits)
+    values, plan = _dense_seeds(board, index, masks, bits)
     if mode == "reference":
-        sweeps = _solve_dense(values, imap, row_of, index, deadline)
+        sweeps = _solve_dense(values, plan, index, deadline)
     else:
-        _solve_buckets(values, imap, row_of, index, deadline)
+        _solve_buckets(values, plan, index, deadline)
         sweeps = 0
-    table = DPTable(board, index, mode, masks, bits, target, values[:-1], row_of, sweeps)
+    table = DPTable(board, index, mode, masks, bits, target, values[:-1], plan, sweeps)
 
     best, goal = table.board_value(target)
     if best >= INF:

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 import time
 
 import numpy as np
@@ -149,6 +150,22 @@ def test_zero_ignored_leaf_colours():
 def test_zero_requires_path_colour():
     b = board_of("ab", "aa")
     assert not zero_test(b, ZKey(Border(0, 0), Border(2, 2), 0, 1, 0, 3))
+
+
+def test_zero_test_rejects_an_ignore_mask_outside_the_palette():
+    # The same refusal, with the same message, as a table lookup: a negative
+    # mask or a bit at or above the palette size names no palette colour.
+    board = board_of("ab", "aa")
+    _, table = solve(board)
+    for ignore in (-1, -2, 2 | 1 << 40):
+        key = ZKey(Border(0, 0), Border(2, 2), 0, 3, 0, ignore)
+        message = f"ignore mask {ignore:#x} names colours outside the palette"
+        with pytest.raises(InputError, match=re.escape(message)):
+            zero_test(board, key)
+        with pytest.raises(InputError, match=re.escape(message)):
+            table.value_of(key)
+    for ignore in range(1 << len(board.palette)):
+        zero_test(board, ZKey(Border(0, 0), Border(2, 2), 0, 3, 0, ignore))
 
 
 def zero_test_table(table):
@@ -621,6 +638,65 @@ def test_one_index_serves_every_colour_count(monkeypatch):
         fresh = solve(table.board, mode=table.mode)[1]
         assert fresh._index is not table._index
         assert np.array_equal(fresh._dense, table._dense), (table.mode, table.board.cells)
+
+
+def _plane_maps(k):
+    """row_of[j][J], colour j's plane of full plane J (J without bit j,
+    the higher bits moved down), and imap[j][p], the full plane of colour
+    j's plane p with bit j added, bit by bit."""
+    row_of = [[sum((plane >> i & 1) << (i - (i > j)) for i in range(k) if i != j)
+               for plane in range(1 << k)] for j in range(k)]
+    imap = [[next(plane for plane in range(1 << k) if plane >> j & 1 and row_of[j][plane] == p)
+             for p in range(1 << (k - 1))] for j in range(k)]
+    return row_of, imap
+
+
+def test_recolour_follows_its_definition(monkeypatch):
+    # On random rows with INF entries: B(J) is the least value over the
+    # colours on full plane J.  With close, W(J) is the least B(K) + |K - J|
+    # over supersets K of J, and each entry takes min(itself, 1 +
+    # W(imap)); without it, min(itself, 1 + B(imap)).  Blocks of three
+    # slots over seven, so the last block is short.
+    rng = np.random.default_rng(1200)
+    inf = dp2xn.INF
+    for k in range(1, 7):
+        monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", 3 << k)
+        row_of, imap = _plane_maps(k)
+        plan = dp2xn._PlanePlan(k)
+        assert plan.imap.tolist() == imap
+        assert plan.gather.tolist() == [[(j << (k - 1)) + p for p in row_of[j]] for j in range(k)]
+        for close in (False, True):
+            t = rng.integers(0, 12, size=(7, k, 1 << (k - 1))).astype(np.int16)
+            t[rng.random(t.shape) < 0.4] = inf
+            base = [[min(int(t[s, j, row_of[j][J]]) for j in range(k)) for J in range(1 << k)]
+                    for s in range(len(t))]
+            if close:
+                base = [[min(row[K] + bin(K & ~J).count("1")
+                             for K in range(1 << k) if K & J == J)
+                         for J in range(1 << k)] for row in base]
+            want = [[[min(int(t[s, j, p]), 1 + base[s][imap[j][p]])
+                      for p in range(1 << (k - 1))] for j in range(k)] for s in range(len(t))]
+            dp2xn._recolour(t, plan, None, close=close)
+            assert t.tolist() == want, (k, close)
+
+
+def test_plane_plans_are_shared_read_only_and_bounded(monkeypatch):
+    # One plan per colour count, shared by every solve with that count in
+    # either mode, whatever the width or palette; kept under the index
+    # cache's bound, least recently used first.
+    monkeypatch.setattr(dp2xn, "_PLAN_CACHE", {})
+    plan = solve(board_of("ab", "ba"))[1]._plan
+    assert solve(board_of("bbc", "cbb"), mode="worklist")[1]._plan is plan
+    assert solve(board_of("abc", "cab"))[1]._plan is not plan
+    for array in vars(plan).values():
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+    bound = dp2xn._INDEX_CACHE_WIDTHS
+    for k in range(1, 9):
+        cells = ("abcdefgh"[:k] * 8)[:8]
+        solve(board_of(cells[:4], cells[4:8]))
+        assert len(dp2xn._PLAN_CACHE) <= bound
+    assert list(dp2xn._PLAN_CACHE) == list(range(9 - bound, 9))
 
 
 def test_tables_are_the_least_fixed_point_of_the_rules():
