@@ -215,8 +215,8 @@ def _verify_exhaustive(n: int, colours: int) -> bool:
         vwl, twl = dp2xn.solve(board, mode="worklist")
         exact = oracle.min_moves(graph)
         ok &= vref == vwl == exact.value
-        # Both tables come from the same index: equal arrays, equal entries.
-        ok &= np.array_equal(tref._dense, twl._dense)
+        # One board, index and plane plan: equal stored arrays, equal entries.
+        ok &= np.array_equal(tref._values, twl._values)
         for d in range(colours):
             vt, _goal = tref.board_value(target=d)
             ok &= vt == oracle.min_moves(graph, target=d).value
@@ -239,8 +239,8 @@ def _verify_random(rng, count: int, n: int, colours: int) -> bool:
         exact = oracle.min_moves(to_graph(board))
         if not exact.is_exact:
             raise BudgetExceededError(f"search budget exhausted ({exact.reason})")
-        # Both tables come from the same index: equal arrays, equal entries.
-        ok = exact.value == value == vwl and np.array_equal(table._dense, twl._dense)
+        # One board, index and plane plan: equal stored arrays, equal entries.
+        ok = exact.value == value == vwl and np.array_equal(table._values, twl._values)
         if ok:
             try:
                 dp2xn.reconstruct(table)  # replay-validated

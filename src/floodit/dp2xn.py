@@ -170,11 +170,10 @@ colours hold equal values there (lemma "section colours").  Only entries()
 and stats() keep to canonical planes, those inside the section's colours,
 so that each value is counted once.  The table stores only the k board
 colours, each on the 2^(k-1) planes without its own bit (lemma "own bit"):
-colour j's plane p is the full plane expand[j, p], and full plane J reads
-colour j's plane row_of[j, J].  Palette colours absent from the board have
-no entries (lemma "absent colours").  So the table holds k x 2^(k-1) x
-slots entries, half or less of the palette x 2^k x slots (colour, ignore
-set) pairs.
+colour j reads full plane J on J without bit j, the bits above j moved one
+place down.  Palette colours absent from the board have no entries (lemma
+"absent colours").  So the table holds k x 2^(k-1) x slots entries, half
+or less of the palette x 2^k x slots (colour, ignore set) pairs.
 
 Lemma (own bit).  For a colour d on the board, v(d, I) = v(d, I + {d}) on
 every slot.  Proof.  In a derivation of an entry, the nodes that keep
@@ -322,16 +321,14 @@ _TABLE_ENTRY_CAP = 50_000_000
 # GB and the record ids within int32.  The 2x60 index stores 9.69M records,
 # 9.26M of them its own and 4.7% padding, 78 MB.
 _RECORD_CAP = 125_000_000
-# Entries of one block of a pass's temporaries.  The split kernels gather,
-# add, min-reduce and lower a block of records at a time, at most this many
-# sums (their child rows): `_lower_layer` whole parents' columns of a layer,
-# or chunks of one parent's ranks where its column holds more, and
-# `_lower_by_splits` a run of offered records.  The recolour rule works on a
-# block of slots whose (slot, full plane) least values hold at most this
-# many entries, so that every temporary stays one block whatever the
-# colours.  A worklist window is whole layers of at most _BLOCK_ENTRIES //
-# (entries per row) split records, padding included, or one larger layer
-# (_windows).
+# Entries of one block of a pass's temporaries.  A block is whole units, as
+# many as fit in this many entries or one unit that alone holds more: whole
+# parents' records in the split kernels (their sums), whole slots in the
+# recolour rule and the bucket starts, and whole layers' records in a
+# worklist window (_windows).  One parent's sums exceed a block only with 8
+# or more colours on the board (2x34-2x37 at 8, 2x16-2x25 at 9, 2x8-2x17 at
+# 10, 2x6-2x12 at 11 and 2x6-2x8 at 12), and the entry cap bounds them at
+# 1,277,952 entries, 2.4 MB of int16 (2x8 with 12 colours).
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -513,20 +510,20 @@ class _SectionIndex:
 class _PlanePlan:
     """The ignore-set plane maps of k board colours, read-only and shared
     by every solve with k colours.  A full plane J is a subset of the k
-    colours, and colour j's plane p is the full plane expand[j, p], which
-    lacks bit j.  Full plane J reads colour j's plane row_of[j, J], J
-    without bit j, and gather[j, J] = j * 2^(k-1) + row_of[j, J] is that
-    entry's column in a slot's row of k x 2^(k-1) entries.  imap[j, p]
-    = expand[j, p] + {j} is the full plane the recolour rule reads.  The
-    recolour closure reads plus[j, J] = J + {j} and adds the offsets size[J]
-    = |J| and lift[J] = 1 - |J| (lemma "popcount shift")."""
+    colours, and colour j's plane p is a full plane without bit j: p's bits
+    from j up move one place up.  Full plane J reads colour j's plane
+    row_of[j, J], J without bit j, and gather[j, J] = j * 2^(k-1) +
+    row_of[j, J] is that entry's column in a slot's row of k x 2^(k-1)
+    entries.  imap[j, p], colour j's plane p with bit j added, is the full
+    plane the recolour rule reads.  The recolour closure reads plus[j, J] =
+    J + {j} and adds the offsets size[J] = |J| and lift[J] = 1 - |J| (lemma
+    "popcount shift")."""
 
     def __init__(self, k: int):
         below = (1 << np.arange(k, dtype=np.intp))[:, None] - 1  # bits under bit j
         full = np.arange(1 << k, dtype=np.intp)
         compressed = full[: 1 << (k - 1)]
-        self.expand = (compressed & below) | ((compressed & ~below) << 1)
-        self.imap = self.expand | (below + 1)
+        self.imap = (compressed & below) | ((compressed & ~below) << 1) | (below + 1)
         self.plus = full | (below + 1)
         row_of = (full & below) | ((full >> 1) & ~below)
         self.gather = row_of + (np.arange(k, dtype=np.intp)[:, None] << (k - 1))
@@ -878,7 +875,7 @@ def _dense_seeds(board, index, masks, bits):
     last row, which padding records read.  Returns the seeds and the plane
     plan of the board's colour count, built once per count (_get_plan)."""
     plan = _get_plan(int(np.count_nonzero(bits)))
-    k, planes = plan.expand.shape
+    k, planes = plan.imap.shape
     t_init = np.full((len(index.slot_sid) + 1, k, planes), INF, dtype=np.int16)
     # A listed path seeds its slot with colour d if every cell has colour d.
     # A slot may have several such paths, all with its r1 cell's colour.
@@ -889,9 +886,10 @@ def _dense_seeds(board, index, masks, bits):
     slots = np.flatnonzero(seed_d >= 0)
     d = seed_d[slots]
     j = (np.cumsum(bits > 0) - 1)[d]
-    # Seed every plane that holds the section's colours other than d.
+    # Seed every plane that holds the section's colours other than d; the
+    # base lacks d's bit, which imap adds.
     base = masks[index.slot_sid[slots]] & ~bits[d]
-    hit, plane = np.nonzero((plan.expand[j] & base[:, None]) == base[:, None])
+    hit, plane = np.nonzero((plan.imap[j] & base[:, None]) == base[:, None])
     t_init[slots[hit], j[hit], plane] = 0
     return t_init, plan
 
@@ -934,60 +932,57 @@ def _recolour(t, plan, deadline, close=False):
 
 def _lower_by_splits(t, left, right, parents, starts, deadline, k):
     """The split rule over the worklist's offered records, grouped by
-    parent, on the table as rows (slot, entries), a block of records at a
-    time: gather and add the children's rows, take each parent's least sum
-    (starts: its first record in the run) and lower the parent's row to it.
-    A block holds at most _BLOCK_ENTRIES sums, so it may cut a parent's
-    records; that parent is lowered once per block, to the same least sum.
-    Returns per parent whether an entry dropped from above k to k.  A cut
-    parent reports the same drops: the worklist offers no entry above k a
-    sum below k, as every value below k is final."""
-    dropped = np.zeros(len(parents), dtype=bool)
+    parent, on the table as rows (slot, entries), a block of whole parents
+    at a time: gather and add the children's rows, take each parent's least
+    sum (starts: its first record in the run) and lower the parent's row to
+    it.  A block holds as many whole parents as fit in _BLOCK_ENTRIES sums,
+    or one parent whose records alone hold more.  Returns per parent
+    whether an entry dropped from above k to k."""
+    dropped = np.empty(len(parents), dtype=bool)
     size = max(1, _BLOCK_ENTRIES // t.shape[1])
-    p1 = 0
-    for a in range(0, len(left), size):
+    p0 = 0
+    while p0 < len(parents):
         _check_deadline(deadline)
-        # Parents p0:p1 own records a:b.  The first is the previous block's
-        # last parent unless one starts at record a.
-        b = a + size
-        p0 = p1 if p1 < len(parents) and starts.item(p1) == a else p1 - 1
-        p1 = int(starts.searchsorted(b)) if b < len(left) else len(parents)
+        # Parents p0:p1 own records a:b: the rest if it fits, else the whole
+        # parents that fit, at least one.
+        a = starts.item(p0)
+        if len(left) - a <= size:
+            p1 = len(parents)
+        else:
+            p1 = max(p0 + 1, int(starts.searchsorted(a + size, "right")) - 1)
+        b = starts.item(p1) if p1 < len(parents) else len(left)
         # take converts the block's int32 ids to intp.  Record ids are in
         # range by construction, and mode "clip" skips the bounds check of
         # mode "raise".
         sums = t.take(left[a:b], axis=0, mode="clip")
         sums += t.take(right[a:b], axis=0, mode="clip")
-        at = starts[p0:p1] - a
-        at[0] = 0
-        low = np.minimum.reduceat(sums, at, axis=0)
+        low = np.minimum.reduceat(sums, starts[p0:p1] - a, axis=0)
         rows = parents[p0:p1]
         old = t[rows]
-        dropped[p0:p1] |= ((low == k) & (old > k)).any(axis=1)
+        dropped[p0:p1] = ((low == k) & (old > k)).any(axis=1)
         np.minimum(old, low, out=low)
         t[rows] = low
+        p0 = p1
     return dropped
 
 
 def _lower_layer(t, rows, left, right, deadline):
     """The split rule over one layer of the table t as rows (slot, entries),
     in place: rows is the layer's run of t, left and right its records as
-    (parent, rank).  Each block gathers and adds the children's rows of a
-    block of ranks, rank-major, takes the least sum over them and lowers the
-    parents' rows to it.  A block holds at most _BLOCK_ENTRIES sums: whole
-    columns of some parents, or, where one parent's column holds more, a
-    chunk of its ranks, so that parent is lowered once per chunk."""
+    (parent, rank).  Each block gathers and adds the children's rows of
+    whole parents, rank-major, takes the least sum over the ranks and
+    lowers the parents' rows to it.  A block holds as many parents as fit
+    in _BLOCK_ENTRIES sums, or one parent whose records alone hold more."""
     parents, width = left.shape
-    ranks = max(1, min(width, _BLOCK_ENTRIES // t.shape[1]))
-    size = max(1, _BLOCK_ENTRIES // (ranks * t.shape[1]))
+    size = max(1, _BLOCK_ENTRIES // (width * t.shape[1]))
     for a in range(0, parents, size):
+        _check_deadline(deadline)
+        # Record ids are in range by construction, and mode "clip" skips
+        # the bounds check of mode "raise".
+        sums = t.take(left[a:a + size].T, axis=0, mode="clip")
+        sums += t.take(right[a:a + size].T, axis=0, mode="clip")
         out = rows[a:a + size]
-        for r in range(0, width, ranks):
-            _check_deadline(deadline)
-            # Record ids are in range by construction, and mode "clip"
-            # skips the bounds check of mode "raise".
-            sums = t.take(left[a:a + size, r:r + ranks].T, axis=0, mode="clip")
-            sums += t.take(right[a:a + size, r:r + ranks].T, axis=0, mode="clip")
-            np.minimum(out, sums.min(axis=0), out=out)
+        np.minimum(out, sums.min(axis=0), out=out)
 
 
 def _solve_dense(t, plan, index, deadline):
@@ -1106,11 +1101,15 @@ def _solve_buckets(best, plan, index, deadline):
     k = -1
     while True:
         _check_deadline(deadline)
-        k = min(int(block.min(where=block > k, initial=INF)) for block in blocks)
+        # Each slot's least entry above the last bucket: the slots where it
+        # is the next bucket k hold an entry at k.
+        least = np.concatenate([block.min(axis=1, where=block > k, initial=INF)
+                                for block in blocks])
+        k = int(least.min())
         if k >= INF:
             break
         state[state == 3] = 1
-        new = np.concatenate([(block == k).any(axis=1) for block in blocks])
+        new = least == k
         state[new] = 3
         start = above[new.argmax()]
         for w in range(bisect.bisect_right(bounds, start) - 1, len(bounds) - 1):

@@ -545,13 +545,12 @@ def test_windows_that_merge_layers_do_not_change_tables(monkeypatch):
         assert np.array_equal(dense, want), board.cells
 
 
-def test_blocks_that_cut_a_parents_records_do_not_change_tables(monkeypatch):
+def test_one_parent_over_a_block_does_not_change_tables(monkeypatch):
     # With 6 to 8 colours on the board a slot's row holds 192 to 1,024
-    # entries, so a block of 2,048 entries holds 2 to 10 records: the
-    # reference pass lowers a parent whose column (the layer's width in
-    # rows) exceeds a block once per chunk of ranks, the worklist kernel
-    # cuts the records of one parent over several blocks, and the recolour
-    # rule works on blocks of 8 to 32 slots.
+    # entries, so a block of 2,048 entries holds 2 to 10 records: some
+    # parent's records alone hold more than a block, in the reference
+    # pass's layers and in the worklist's offers, and the recolour rule
+    # works on blocks of 2 to 10 slots.
     rng = random.Random(1020)
     boards = []
     for n, colours in ((4, 6), (4, 7), (4, 8), (5, 6), (5, 7), (5, 8)):
@@ -595,15 +594,30 @@ def test_worklist_never_offers_a_padding_record(monkeypatch):
         calls.clear()
 
 
-def test_split_kernel_reports_drops_of_parents_cut_over_blocks(monkeypatch):
-    # Rows 0..19 are children, rows 20..39 parents with 1 to 6 records
-    # each.  Blocks of one record cut every parent with two or more; the
-    # table and the per-parent "dropped to k" mask must equal one block's.
-    # k = 0, as no sum goes below it: the worklist offers no sum below k to
-    # an entry above k, since every value below k is final.
+def _count_blocks(monkeypatch):
+    """Patch the deadline check, which both split kernels make once per
+    block, to count its calls; returns the count as a one-item list."""
+    calls = [0]
+
+    def check(deadline):
+        calls[0] += 1
+
+    monkeypatch.setattr(dp2xn, "_check_deadline", check)
+    return calls
+
+
+def test_worklist_kernel_blocks_hold_whole_parents(monkeypatch):
+    # Rows 0..19 are children, rows 20..39 parents with 3 to 6 records each.
+    # A block of 16 entries holds two rows' sums, so every parent alone
+    # holds more than a block and takes one block of its own, never cut
+    # over two; a block of 64 entries, eight sums, takes the parents in
+    # order while they fit.  The table and the per-parent "dropped to k"
+    # mask equal one block's.  k = 0, as no sum goes below it: the worklist
+    # offers no sum below k to an entry above k, since every value below k
+    # is final.
     rng = np.random.default_rng(1030)
     table = rng.integers(0, 3, size=(40, 8)).astype(np.int16)
-    counts = rng.integers(1, 7, size=20)
+    counts = rng.integers(3, 7, size=20)
     parents = np.arange(20, 40)
     starts = np.r_[0, np.cumsum(counts)[:-1]]
     left = rng.integers(0, 20, size=counts.sum()).astype(np.int32)
@@ -615,12 +629,40 @@ def test_split_kernel_reports_drops_of_parents_cut_over_blocks(monkeypatch):
         want[p] = np.minimum(want[p], sums[owner == p].min(axis=0))
     want_dropped = ((want[parents] == 0) & (table[parents] > 0)).any(axis=1)
     assert want_dropped.any() and not want_dropped.all()
-    for block in (1 << 18, 8):
+    packed, room = 0, 0
+    for count in counts.tolist():
+        if count > room:
+            packed, room = packed + 1, 8
+        room -= count
+    for block, blocks in ((1 << 18, 1), (64, packed), (16, len(parents))):
         monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", block)
+        calls = _count_blocks(monkeypatch)
         got = table.copy()
         dropped = dp2xn._lower_by_splits(got, left, right, parents, starts, None, 0)
+        assert calls[0] == blocks, block
         assert np.array_equal(got, want), block
         assert np.array_equal(dropped, want_dropped), block
+
+
+def test_reference_kernel_blocks_hold_whole_parents(monkeypatch):
+    # A layer of 12 parents with 5 records each over rows of 8 entries: a
+    # parent's sums, 40 entries, exceed a block of 16, so each parent takes
+    # one block of its own, its ranks never cut over two; a block of 96
+    # entries holds two whole parents.
+    rng = np.random.default_rng(1031)
+    table = rng.integers(0, 9, size=(32, 8)).astype(np.int16)
+    left = rng.integers(0, 20, size=(12, 5)).astype(np.int32)
+    right = rng.integers(0, 20, size=(12, 5)).astype(np.int32)
+    want = table.copy()
+    sums = table[left].astype(np.int64) + table[right]  # (parent, rank, entry)
+    want[20:] = np.minimum(want[20:], sums.min(axis=1))
+    for block, blocks in ((1 << 18, 1), (96, 6), (16, 12)):
+        monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", block)
+        calls = _count_blocks(monkeypatch)
+        got = table.copy()
+        dp2xn._lower_layer(got, got[20:], left, right, None)
+        assert calls[0] == blocks, block
+        assert np.array_equal(got, want), block
 
 
 def test_one_index_serves_every_colour_count(monkeypatch):
