@@ -13,9 +13,12 @@ slot) over every palette colour and every subset of the board's colours,
 and the md5 of the move sequence `dp2xn.reconstruct` emits, as int64
 (vertex, colour) pairs (sequence_md5; the peak is read before the
 expansion and the reconstruction).  So one run checks that two trees give
-equal tables and emit equal sequences.  A round runs every board in both
-modes, "reference" and "worklist", once per tree, and rounds alternate
-which tree runs first.
+equal tables and emit equal sequences.  Then the process solves the board
+once more, on the index it has built, under `tracemalloc` and reports that
+solve's traced peak in MiB (solve_traced_mb): it counts the solve's own
+arrays only, so it does not move with the allocator's state as peak RSS
+does.  A round runs every board in both modes, "reference" and
+"worklist", once per tree, and rounds alternate which tree runs first.
 Prints one JSON row per tree: per board and mode, the medians, the first
 and third quartiles of both times and every run.
 
@@ -31,7 +34,7 @@ import sys
 from benchpair import alternate, parse_sides, run_child
 
 CHILD = r"""
-import hashlib, random, resource, sys, time
+import hashlib, random, resource, sys, time, tracemalloc
 import numpy as np
 from floodit import dp2xn
 from floodit.board import Board2xN
@@ -53,8 +56,12 @@ peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 # the board's colours, whatever layout the solver stores.
 full = np.ascontiguousarray(table._dense.transpose(1, 2, 0))
 moves = np.array([(m.vertex, m.colour) for m in dp2xn.reconstruct(table)], dtype=np.int64)
+tracemalloc.start()
+dp2xn.solve(board, mode=sys.argv[2])
+traced = tracemalloc.get_traced_memory()[1] / 2**20
+tracemalloc.stop()
 print(value, seconds, index_seconds, peak, hashlib.md5(full.tobytes()).hexdigest(),
-      hashlib.md5(moves.tobytes()).hexdigest())
+      hashlib.md5(moves.tobytes()).hexdigest(), traced)
 """
 
 BOARDS = ("2x60_4c", "2x10_11of16c")
@@ -65,7 +72,7 @@ def measure(src, board, mode):
     out = run_child(src, CHILD, board, mode).split()
     return {"value": int(out[0]), "solve_s": round(float(out[1]), 3),
             "index_s": round(float(out[2]), 3), "peak_rss_mb": round(float(out[3]), 1),
-            "md5": out[4], "sequence_md5": out[5]}
+            "md5": out[4], "sequence_md5": out[5], "solve_traced_mb": round(float(out[6]), 2)}
 
 
 def quartiles(xs):
@@ -97,9 +104,11 @@ def main(argv):
                 "index_s_median": statistics.median(index_seconds),
                 "index_s_quartiles": quartiles(index_seconds),
                 "peak_rss_mb_median": statistics.median(g["peak_rss_mb"] for g in got),
+                "solve_traced_mb_median": statistics.median(g["solve_traced_mb"] for g in got),
                 "solve_s": seconds,
                 "index_s": index_seconds,
                 "peak_rss_mb": [g["peak_rss_mb"] for g in got],
+                "solve_traced_mb": [g["solve_traced_mb"] for g in got],
             }
         print(json.dumps(row))
 

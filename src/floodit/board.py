@@ -6,13 +6,14 @@ position where it meets the top edge (t) and the bottom edge (b), both in
 0..n.  Vertex ids are row-major with row 0 on top: id = row * n + col.
 
 This module is the one home of the geometry: which border pairs bound a
-section, which cells touch a border, which edges a border cuts.  The section
-and end-cell rules are element-wise: one expression evaluates on Python ints
-and on the numpy arrays of dp2xn's section index.  They combine comparisons
-with & and |, never ~, which turns True into -2.  The cut rule is the scalar
-crossing_edges: the index derives its split records from slots (dp2xn's
-lemmas "split edges" and "split parents"), and the tests check them against
-it.
+section, which cells touch a border, which edges a border cuts.  Only
+bounds_section is also evaluated on arrays, over every pair of low-skew
+borders in dp2xn's section index, so it combines comparisons with & and |,
+never ~, which turns True into -2.  The index takes a section's cells and
+end cells from its borders alone (dp2xn's lemma "row intervals") and its
+split records from slots (lemmas "split edges" and "split parents"); the
+tests check both against section_vertices, incident_vertices and
+crossing_edges.
 """
 
 from __future__ import annotations
@@ -183,14 +184,6 @@ def bounds_section(t1, b1, t2, b2):
             & ((t1 == t2) | (b1 == b2) | ((t1 < b2) & (b1 < t2))))
 
 
-def touches_border(t, b, side, row, col):
-    """Cell (row, col) has an edge on border (t, b) and lies on its side
-    ("left" or "right"), or is a cell of a run column, one in [min(t, b),
-    max(t, b))."""
-    return ((col == border_col(t, b, row) - (side == "left"))
-            | ((t <= col) & (col < b)) | ((b <= col) & (col < t)))
-
-
 def section_vertices(board: Board2xN, b1: Border, b2: Border) -> set:
     """Vertices strictly between two comparable borders: top-row columns
     b1.t..b2.t-1 and bottom-row columns b1.b..b2.b-1."""
@@ -238,7 +231,8 @@ def incident_vertices(
     b1, b2 = within or (Border(0, 0), Border(board.n, board.n))
     check_borders(board, b1, b2)
     return [board.vertex(row, col) for row in (0, 1) for col in range(board.n)
-            if touches_border(*border, side, row, col) & in_section(*b1, *b2, row, col)]
+            if (col == border_col(*border, row) - (side == "left")
+                or min(border) <= col < max(border)) and in_section(*b1, *b2, row, col)]
 
 
 def crossing_edges(

@@ -197,6 +197,15 @@ def _failing(board) -> str:
     return "first failing board {} / {}".format(*rows)
 
 
+def _exact_value(result) -> int:
+    """The value an oracle search found.  A search that gave up shows no
+    value wrong, so it raises BudgetExceededError, which verify maps to
+    exit 3."""
+    if not result.is_exact:
+        raise BudgetExceededError(f"search budget exhausted ({result.reason})")
+    return result.value
+
+
 def _verify_exhaustive(n: int, colours: int) -> bool:
     if n < 1 or colours < 1:
         raise _UsageError("--exhaustive needs N >= 1 and C >= 1")
@@ -213,13 +222,12 @@ def _verify_exhaustive(n: int, colours: int) -> bool:
         graph = to_graph(board)
         vref, tref = dp2xn.solve(board, mode="reference")
         vwl, twl = dp2xn.solve(board, mode="worklist")
-        exact = oracle.min_moves(graph)
-        ok &= vref == vwl == exact.value
+        ok &= vref == vwl == _exact_value(oracle.min_moves(graph))
         # One board, index and plane plan: equal stored arrays, equal entries.
         ok &= np.array_equal(tref._values, twl._values)
         for d in range(colours):
             vt, _goal = tref.board_value(target=d)
-            ok &= vt == oracle.min_moves(graph, target=d).value
+            ok &= vt == _exact_value(oracle.min_moves(graph, target=d))
         boards += 1
         if not ok:
             break
@@ -236,11 +244,9 @@ def _verify_random(rng, count: int, n: int, colours: int) -> bool:
         board = gen.random_board(rng, n, colours)
         value, table = dp2xn.solve(board)
         vwl, twl = dp2xn.solve(board, mode="worklist")
-        exact = oracle.min_moves(to_graph(board))
-        if not exact.is_exact:
-            raise BudgetExceededError(f"search budget exhausted ({exact.reason})")
+        exact = _exact_value(oracle.min_moves(to_graph(board)))
         # One board, index and plane plan: equal stored arrays, equal entries.
-        ok = exact.value == value == vwl and np.array_equal(table._values, twl._values)
+        ok = exact == value == vwl and np.array_equal(table._values, twl._values)
         if ok:
             try:
                 dp2xn.reconstruct(table)  # replay-validated

@@ -21,10 +21,13 @@ monotone rules relax the rest:
 
 The board answer is the best full-board entry with an empty ignore set.
 
-The geometry comes from board: the section index evaluates its element-wise
-rules for sections and end cells over numpy arrays.  Split records follow
-from the slots (lemmas "split edges" and "split parents" below);
-board.crossing_edges stays the definition the tests check them against.
+The geometry comes from board: the section index evaluates
+board.bounds_section over every pair of low-skew borders and stores each
+section as its two borders, whose row intervals give its cells, end cells
+and colours (lemma "row intervals" below).  Split records follow from the
+slots (lemmas "split edges" and "split parents" below).
+board.section_vertices, incident_vertices and crossing_edges stay the
+definitions the tests check the index against.
 
 Low-skew index.  Only borders (t, b) with |t - b| <= 1 are used, for
 sections and for split borders alike.  The full board's borders (0, 0) and
@@ -72,6 +75,27 @@ tests: every 2x4 board with at most 4 colours (tests/test_dp2xn.py), the
 exhaustive 2x3 and randomised 2x5/2x7 acceptance criteria 1 and 2, and the
 oracle comparisons elsewhere in the suite.  A restricted value is always an
 upper bound with a replay-validated witness.
+
+Lemma (row intervals).  Let a section lie between low-skew borders (t1, b1)
+and (t2, b2), and write c_r for the column where a border meets row r.  Row
+r of the section is the columns c_r(t1, b1) to c_r(t2, b2) - 1, an interval,
+and where it is non-empty, its end cell at the left border is its first
+cell and its end cell at the right border its last.  Proof.
+  1. A cell touches a border from the right (board.incident_vertices) if it
+     lies in column c_r of its row r, or in the run column m = min(t, b)
+     when t != b.  Among the section's cells, the first test holds at the
+     left border for the first cell of each non-empty row and no other.
+  2. Skew at most 1 leaves one run column m.  The row that meets the border
+     at m has its first cell there, counted in step 1.  The other row meets
+     it at m + 1, so its cell in column m lies outside the section.
+  3. At the right border, mirrored: a cell touches it from the left in
+     column c_r - 1, the row's last cell, or in the run column m.  The row
+     that meets the border at m + 1 has its last cell in column m, and the
+     other row's cell in column m lies outside the section.
+So a row holds an end cell at either border iff it is non-empty, and the
+index reads cell counts, end cells and section colours from the borders
+alone.  tests/test_dp2xn.py checks the end cells against incident_vertices
+for widths 1 to 20.
 
 Lemma (seeds compose).  On a section of five or more cells, every entry
 that passes zero_test is the split sum of two entries that pass it, over a
@@ -265,10 +289,10 @@ cap keeps k at 12 or below, far under the 2^15 - 1 - INF that int16 leaves.
 The plane maps and both offsets depend on k alone, so one read-only plane
 plan per colour count serves every solve (_PlanePlan).
 
-The table is the int16 array both passes relax, slot-major (slot, colour on
-the board, ignore set without its bit): a slot's k x 2^(k-1) entries are one
-contiguous row, so the split rule reads each child as one row and a layer
-is one slot range.  INF = 2^14 - 1 marks an entry no rule reaches, which
+The table is the int16 array both passes relax, one row per slot of k x
+2^(k-1) entries, (colour on the board, ignore set without its bit) in
+row-major order: the split rule reads each child as one row and a layer is
+one slot range.  INF = 2^14 - 1 marks an entry no rule reaches, which
 value_of reads as +inf.  DPTable keeps that array and reads every (slot,
 palette colour, full plane) through one accessor.
 """
@@ -346,11 +370,13 @@ class _SectionIndex:
     "wide sections"); a narrower section keeps the pairs that have a
     dominating path, listed once per translated shape.
 
-    Between borders of skew at most one, a section has at most one end cell
-    per row at each border, so a slot is named by its section and the rows
-    (a, b) of its two attachments: slot_of[sid, a, b], -1 where no slot
-    exists (the extra last row of slot_of is all -1, so sid -1 looks up
-    "none").
+    Section sid lies between the borders sec_borders[sid] = (t1, b1, t2,
+    b2), and by_geom maps those four back to sid.  Between borders of skew
+    at most one, each row of a section is an interval whose first and last
+    cells are its end cells (lemma "row intervals"), so a slot is named by
+    its section and the rows (a, b) of its two attachments: slot_of[sid, a,
+    b], -1 where no slot exists (the extra last row of slot_of is all -1, so
+    sid -1 looks up "none").
 
     Slot s lies in section slot_sid[s], and slot_ends[s] holds its two end
     cells as vertex ids row * n + col.  Slots are numbered in structural
@@ -373,30 +399,28 @@ class _SectionIndex:
         sec_i, sec_j = np.nonzero(is_sec)
         self.sec_of = np.full((nb, nb), -1, dtype=np.int64)
         self.sec_of[sec_i, sec_j] = np.arange(len(sec_i))
-        self.geoms = [(borders[i][0], borders[i][1], borders[j][0], borders[j][1])
-                      for i, j in zip(sec_i.tolist(), sec_j.tolist())]
-        self.by_geom = {g: sid for sid, g in enumerate(self.geoms)}
-        # cells[sid, row, col]: the cell lies in section sid.  ends[sid, e,
-        # row]: column of the section's end cell in that row at its left
-        # (e = 0) or right (e = 1) border, -1 where there is none; there is
-        # at most one, so a dot product with col + 1 finds it.
-        bt3, bb3 = bt[:, None, None], bb[:, None, None]
-        rows, cols = np.arange(2)[:, None], np.arange(n)
-        after = geo.touches_border(bt3, bb3, "right", rows, cols)  # (border, row, col)
-        before = geo.touches_border(bt3, bb3, "left", rows, cols)
-        self.cells = geo.in_section(bt3[sec_i], bb3[sec_i], bt3[sec_j], bb3[sec_j], rows, cols)
-        self.ends = (np.stack([after[sec_i], before[sec_j]], axis=1)
-                     & self.cells[:, None]).dot(np.arange(1, n + 1)) - 1
+        # Row r of section sid is the columns sec_borders[sid, r] to
+        # sec_borders[sid, 2 + r] - 1.
+        sec = self.sec_borders = np.stack([bt[sec_i], bb[sec_i], bt[sec_j], bb[sec_j]], axis=1)
+        geoms = sec.tolist()
+        self.by_geom = {tuple(g): sid for sid, g in enumerate(geoms)}
+        first, stop = sec[:, :2], sec[:, 2:]
+        filled = stop > first
+        # or_at[r, sid]: the flat position of row r's interval in a board's
+        # table of running ORs (_section_masks), (r, first column, length -
+        # 1), or (r, n, 0), which reads 0, for an empty row.
+        at = (np.arange(2) * (n + 1) + np.where(filled, first, n)) * (n + 1)
+        self.or_at = np.ascontiguousarray((at + np.where(filled, stop - first - 1, 0)).T)
         # Slots are numbered in layer order, by their section's cell count.
         # A split's children have fewer cells than its parent, so slot order
         # is structural order.
-        sizes = self.cells.sum(axis=(1, 2))
+        sizes = (stop - first).sum(axis=1)
         by_size = np.argsort(sizes, kind="stable")
-        # is_slot[sid, a, b]: rows a and b have end cells, the slot's r1 and
-        # r2.  Every such pair is a slot on a wide section (lemma "wide
-        # sections"); a narrow one keeps only the pairs that have a
-        # dominating path.
-        is_slot = (self.ends[:, 0, :, None] >= 0) & (self.ends[:, 1, None, :] >= 0)
+        # is_slot[sid, a, b]: rows a and b are non-empty, so they hold the
+        # slot's r1 and r2.  Every such pair is a slot on a wide section
+        # (lemma "wide sections"); a narrow one keeps only the pairs that
+        # have a dominating path.
+        is_slot = filled[:, :, None] & filled[:, None, :]
         narrow = by_size[:np.searchsorted(sizes[by_size], _WIDE_CELLS)].tolist()
         # Zero-seed candidates: every dominating simple r1-r2 path of each
         # slot whose section has at most _SEED_CELLS cells.  seed_cells[p]
@@ -409,9 +433,9 @@ class _SectionIndex:
         for i, a, b in np.argwhere(is_slot[narrow]).tolist():
             _check_deadline(deadline)
             sid = narrow[i]
-            t1, bb1, t2, bb2 = self.geoms[sid]
+            t1, bb1, t2, bb2 = g = geoms[sid]
             o = min(t1, bb1)
-            r1, r2 = (a, self.ends.item(sid, 0, a) - o), (b, self.ends.item(sid, 1, b) - o)
+            r1, r2 = (a, g[a] - o), (b, g[2 + b] - 1 - o)
             key = ((t1 - o, t2 - o), (bb1 - o, bb2 - o), r1, r2)
             small = sizes.item(sid) <= _SEED_CELLS
             found = shapes.get(key)
@@ -428,12 +452,12 @@ class _SectionIndex:
                     seed_at.append((sid, a, b))
         order, a, b = np.nonzero(is_slot[by_size])
         self.slot_sid = by_size[order]
-        self.slot_of = np.full((len(self.geoms) + 1, 2, 2), -1, dtype=np.int32)
+        self.slot_of = np.full((len(geoms) + 1, 2, 2), -1, dtype=np.int32)
         self.slot_of[self.slot_sid, a, b] = np.arange(len(order))
-        # End cells as vertex ids row * n + col.
-        end_rows = np.stack([a, b], axis=1)
-        end_cols = self.ends[self.slot_sid[:, None], [0, 1], end_rows]
-        self.slot_ends = (end_rows * n + end_cols).astype(np.int32)
+        # End cells as vertex ids row * n + col: the first cell of row a and
+        # the last of row b.
+        self.slot_ends = np.stack([a * n + first[self.slot_sid, a],
+                                   b * n + stop[self.slot_sid, b] - 1], axis=1).astype(np.int32)
         steps = np.flatnonzero(np.diff(sizes[self.slot_sid])) + 1
         self.layer_bounds = np.r_[0, steps, len(order)]
         self.seed_cells = np.array(seed_cells, dtype=np.intp).reshape(-1, _SEED_CELLS)
@@ -443,7 +467,7 @@ class _SectionIndex:
     def pair_slot(self, sid, r1, r2):
         """Slot of the end cells r1, r2 of section sid, or None."""
         (a, col1), (b, col2) = r1, r2
-        if self.ends[sid, 0, a] != col1 or self.ends[sid, 1, b] != col2:
+        if self.sec_borders.item(sid, a) != col1 or self.sec_borders.item(sid, 2 + b) != col2 + 1:
             return None
         slot = int(self.slot_of[sid, a, b])
         return None if slot < 0 else slot
@@ -665,9 +689,18 @@ def _plane_bits(board):
 
 
 def _section_masks(board, index, bits):
-    """Plane bits of the colours present in each section (per board)."""
-    return np.bitwise_or.reduce(np.where(index.cells, bits[np.array(board.cells)], 0),
-                                axis=(1, 2))
+    """Plane bits of the colours present in each section (per board): the
+    OR of its two row intervals' entries in the board's table of running
+    ORs, runs[r, s, l] = the bits of row r's columns s to s + l."""
+    n = board.n
+    # Each row's plane bits, then n + 1 zeros, so window s of the row, the
+    # row from column s on, holds only zeros for s = n.  The strided view
+    # costs a twentieth of sliding_window_view's call on small boards.
+    line = np.zeros((2, 2 * n + 1), dtype=bits.dtype)
+    line[:, :n] = bits[np.array(board.cells)]
+    windows = np.ndarray((2, n + 1, n + 1), line.dtype, line, 0, line.strides + line.strides[1:])
+    runs = np.bitwise_or.accumulate(windows, axis=2).ravel()
+    return runs.take(index.or_at[0]) | runs.take(index.or_at[1])
 
 
 class DPTable:
@@ -682,11 +715,10 @@ class DPTable:
         self._bits = bits.tolist()  # plane bit per palette colour
         # Table row per palette colour: its bit's position, -1 if absent.
         self._row = [b.bit_length() - 1 for b in self._bits]
-        # The pass's own int16 array, (slot, colour on the board, ignore
-        # set without that colour's bit), and its rows of entries, which
-        # the plan's gather map reads.
+        # The pass's own int16 array: per slot one row of (colour on the
+        # board, ignore set without that colour's bit) entries, which the
+        # plan's gather map reads.
         self._values = values
-        self._rows = values.reshape(len(values), -1)
         self._plan = plan
         self._sweeps = sweeps
         self._entries = None
@@ -706,9 +738,9 @@ class DPTable:
         gather = self._plan.gather
         if j >= 0:
             if type(slot) is int:  # the common lookup, without array scalars
-                return self._rows.item(slot, gather.item(j, plane))
-            return self._rows[slot].take(gather[j, plane], axis=-1)
-        least = _least_over_colours(self._rows[slot], gather[:, plane])
+                return self._values.item(slot, gather.item(j, plane))
+            return self._values[slot].take(gather[j, plane], axis=-1)
+        least = _least_over_colours(self._values[slot], gather[:, plane])
         return np.minimum(least + 1, INF)
 
     def _colour_planes(self):
@@ -758,7 +790,7 @@ class DPTable:
             for j, col in enumerate(np.flatnonzero(self._bits).tolist()):
                 ignore |= ((planes >> j) & 1) << col
             index = self._index
-            borders = [(Border(t1, bb1), Border(t2, bb2)) for t1, bb1, t2, bb2 in index.geoms]
+            borders = [(Border(*g[:2]), Border(*g[2:])) for g in index.sec_borders.tolist()]
             heads = [(*borders[sid], r1, r2)  # borders and attachment vertices per slot
                      for sid, (r1, r2) in zip(index.slot_sid.tolist(), index.slot_ends.tolist())]
             self._entries = {
@@ -820,7 +852,7 @@ class DPTable:
             return BackPtr("recolour", d_from=rule[1][1])
         index = self._index
         ls, rs = rule[1][0], rule[2][0]
-        _t1, _bb1, t, bb = index.geoms[index.slot_sid[ls]]
+        t, bb = index.sec_borders[index.slot_sid[ls], 2:].tolist()
         return BackPtr(
             "split",
             border=Border(t, bb),
@@ -870,13 +902,14 @@ def _goal_slots(board, index):
 
 
 def _dense_seeds(board, index, masks, bits):
-    """Zero seeds of the table, shape (slot, colour on the board, ignore set
-    without that colour's bit) with INF elsewhere and in the null slot's
-    last row, which padding records read.  Returns the seeds and the plane
-    plan of the board's colour count, built once per count (_get_plan)."""
+    """Zero seeds of the table, one row of (colour on the board, ignore set
+    without that colour's bit) entries per slot, with INF elsewhere and in
+    the null slot's last row, which padding records read.  Returns the seeds
+    and the plane plan of the board's colour count, built once per count
+    (_get_plan)."""
     plan = _get_plan(int(np.count_nonzero(bits)))
     k, planes = plan.imap.shape
-    t_init = np.full((len(index.slot_sid) + 1, k, planes), INF, dtype=np.int16)
+    t_init = np.full((len(index.slot_sid) + 1, k * planes), INF, dtype=np.int16)
     # A listed path seeds its slot with colour d if every cell has colour d.
     # A slot may have several such paths, all with its r1 cell's colour.
     colours = np.ravel(board.cells)[index.seed_cells]
@@ -890,7 +923,7 @@ def _dense_seeds(board, index, masks, bits):
     # base lacks d's bit, which imap adds.
     base = masks[index.slot_sid[slots]] & ~bits[d]
     hit, plane = np.nonzero((plan.imap[j] & base[:, None]) == base[:, None])
-    t_init[slots[hit], j[hit], plane] = 0
+    t_init.reshape(-1, k, planes)[slots[hit], j[hit], plane] = 0
     return t_init, plan
 
 
@@ -919,7 +952,7 @@ def _recolour(t, plan, deadline, close=False):
     for a in range(0, len(t), size):
         _check_deadline(deadline)
         run = t[a:a + size]
-        low = _least_over_colours(run.reshape(len(run), -1), plan.gather)
+        low = _least_over_colours(run, plan.gather)
         if close:
             low += plan.size  # X, (slot, full plane)
             for plus in plan.plus:
@@ -927,7 +960,7 @@ def _recolour(t, plan, deadline, close=False):
             low += plan.lift
         else:
             low += 1
-        np.minimum(run, low.take(plan.imap, axis=1), out=run)
+        np.minimum(run, low.take(plan.imap.ravel(), axis=1), out=run)
 
 
 def _lower_by_splits(t, left, right, parents, starts, deadline, k):
@@ -1001,17 +1034,15 @@ def _solve_dense(t, plan, index, deadline):
 
     Returns the number of layers.
     """
-    # Slot-major, (slot, colour, ignore set): a layer is one contiguous slot
-    # range, its split records one (parent, rank) rectangle, and each child
-    # one row of entries.
-    flat = t.reshape(len(t), -1)
+    # Slot-major: a layer is one contiguous slot range, its split records
+    # one (parent, rank) rectangle, and each child one row of entries.
     bounds = index.layer_bounds.tolist()
     edges = index.rec_start[index.layer_bounds].tolist()
     for lo, hi, rlo, rhi in zip(bounds[:-1], bounds[1:], edges[:-1], edges[1:]):
         _check_deadline(deadline)
         if rhi > rlo:
             shape = (hi - lo, (rhi - rlo) // (hi - lo))
-            _lower_layer(flat, flat[lo:hi], index.rec_left[rlo:rhi].reshape(shape),
+            _lower_layer(t, t[lo:hi], index.rec_left[rlo:rhi].reshape(shape),
                          index.rec_right[rlo:rhi].reshape(shape), deadline)
         _recolour(t[lo:hi], plan, deadline, close=True)
     return len(bounds) - 1
@@ -1066,12 +1097,11 @@ def _solve_buckets(best, plan, index, deadline):
     record is offered with both final values: b = 0 puts the parent into
     bucket a, and b >= 1 into a later bucket, which reads it at its start.
     """
-    # Slot-major, (slot, colour, ignore set): a split record gathers its
-    # children as two rows of entries.  The bucket starts read the table a
-    # block of slots at a time, so their masks stay one block each.
-    flat_best = best.reshape(len(best), -1)
-    rows = max(1, _BLOCK_ENTRIES // flat_best.shape[1])
-    blocks = [flat_best[a:a + rows] for a in range(0, len(flat_best), rows)]
+    # Slot-major: a split record gathers its children as two rows of
+    # entries.  The bucket starts read the table a block of slots at a
+    # time, so their masks stay one block each.
+    rows = max(1, _BLOCK_ENTRIES // best.shape[1])
+    blocks = [best[a:a + rows] for a in range(0, len(best), rows)]
     rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
     bounds, above = _windows(index, rows)
     # Slot states: 0 unsettled, 1 settled, 3 holds an entry at k, 2 dropped
@@ -1095,7 +1125,7 @@ def _solve_buckets(best, plan, index, deadline):
         at = recs.searchsorted(rec_start[first:last + 2])
         owned = (at[1:] != at[:-1]).nonzero()[0]
         parents = owned + first
-        return parents[_lower_by_splits(flat_best, rec_left.take(recs), rec_right.take(recs),
+        return parents[_lower_by_splits(best, rec_left.take(recs), rec_right.take(recs),
                                         parents, at[owned], deadline, k)]
 
     k = -1
@@ -1128,12 +1158,15 @@ def _solve_buckets(best, plan, index, deadline):
 def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference",
           time_budget: Optional[float] = None):
     """Minimum move count to flood the board (optionally with a fixed final
-    colour).  Returns (value, DPTable)."""
+    colour).  Returns (value, DPTable).  time_budget, in seconds, must be
+    positive; BudgetExceededError is raised when it runs out."""
     c = len(board.palette)
     if target is not None and not 0 <= target < c:
         raise InputError(f"target colour {target} outside the palette")
     if mode not in ("reference", "worklist"):
         raise InputError(f"unknown mode {mode!r}")
+    if time_budget is not None and not time_budget > 0:
+        raise InputError("time_budget must be positive")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     index = _get_index(board.n, deadline)
     bits = _plane_bits(board)

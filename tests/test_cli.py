@@ -246,6 +246,22 @@ def test_verify_random_out_of_search_budget_exits_3(monkeypatch, capsys):
     assert "FAIL" not in captured.out
 
 
+def test_verify_exhaustive_out_of_search_budget_exits_3(monkeypatch, capsys):
+    # Free and per-target searches alike: a search that gives up shows no
+    # value wrong, so exit 3, not FAIL.
+    from floodit import oracle
+    min_moves = oracle.min_moves
+
+    def one_state(graph, **kwargs):
+        return min_moves(graph, budget=oracle.SearchBudget(max_states=1), **kwargs)
+
+    monkeypatch.setattr(oracle, "min_moves", one_state)
+    assert main(["verify", "--exhaustive", "3", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "error: search budget exhausted (state budget exhausted)" in captured.err
+    assert "FAIL" not in captured.out
+
+
 @pytest.mark.parametrize("args", [("2", "0", "3"), ("2", "3", "0"), ("-1", "3", "3"),
                                   ("0", "3", "3")])
 def test_verify_random_rejects_counts_below_one(args, capsys):

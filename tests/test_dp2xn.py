@@ -183,7 +183,7 @@ def zero_test_table(table):
         d = board.cells[row1][col1]
         if board.cells[row2][col2] != d:
             continue
-        t1, bb1, t2, bb2 = index.geoms[sid]
+        t1, bb1, t2, bb2 = index.sec_borders[sid].tolist()
         head = (Border(t1, bb1), Border(t2, bb2), v1, v2)
         for plane in np.flatnonzero(canon[slot]).tolist():
             ignore = sum(1 << col for j, col in enumerate(present) if plane >> j & 1)
@@ -260,6 +260,14 @@ def test_solve_rejects_bad_inputs():
         solve(big)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), 0, -1])
+def test_solve_refuses_a_time_budget_that_is_not_positive(budget):
+    # A NaN budget compares false with every deadline, so it would give no
+    # budget at all; zero and negative budgets would refuse every solve.
+    with pytest.raises(InputError, match="time_budget must be positive"):
+        solve(board_of("ab", "ba"), mode="worklist", time_budget=budget)
+
+
 def test_solve_equals_oracle_random_boards():
     rng = random.Random(100)
     for _ in range(25):
@@ -314,7 +322,7 @@ def test_index_geometry_matches_board_functions(n):
     index = dp2xn._SectionIndex(n)
     got_slots = []
     for sid, (v1, v2) in zip(index.slot_sid.tolist(), index.slot_ends.tolist()):
-        t1, bb1, t2, bb2 = index.geoms[sid]
+        t1, bb1, t2, bb2 = index.sec_borders[sid].tolist()
         got_slots.append((Border(t1, bb1), Border(t2, bb2), v1, v2))
     assert sorted(index.by_geom) == sorted((*b1, *b2) for b1, b2 in sections)
     assert sorted(got_slots) == sorted(slots)
@@ -322,6 +330,44 @@ def test_index_geometry_matches_board_functions(n):
     assert len(parents) == len(records)
     assert {(got_slots[p], got_slots[l], got_slots[r]) for p, l, r in zip(
         parents.tolist(), left.tolist(), right.tolist())} == records
+
+
+def test_section_end_cells_are_the_row_interval_ends():
+    # Lemma "row intervals": between low-skew borders, a non-empty row's end
+    # cells are the first and last cells of its interval.  Every section of
+    # widths 1-20, against incident_vertices.
+    for n in range(1, 21):
+        board = Board2xN(n, ((0,) * n, (0,) * n), ("a",))
+        index = dp2xn._SectionIndex(n)
+        for t1, bb1, t2, bb2 in index.sec_borders.tolist():
+            b1, b2 = Border(t1, bb1), Border(t2, bb2)
+            rows = [(row, first, stop) for row, first, stop in ((0, t1, t2), (1, bb1, bb2))
+                    if first < stop]
+            assert incident_vertices(board, b1, "right", within=(b1, b2)) == [
+                row * n + first for row, first, _ in rows], (n, b1, b2)
+            assert incident_vertices(board, b2, "left", within=(b1, b2)) == [
+                row * n + stop - 1 for row, _, stop in rows], (n, b1, b2)
+
+
+def test_section_masks_are_the_section_colours():
+    # Each section's mask is the OR of the plane bits of its cells' colours,
+    # on boards with absent palette colours, so some colours have no bit.
+    rng = random.Random(2500)
+    for _ in range(200):
+        n, c = rng.randint(1, 12), rng.randint(1, 8)
+        used = rng.sample(range(c), rng.randint(1, c))
+        cells = [rng.choice(used) for _ in range(2 * n)]
+        board = Board2xN(n, (tuple(cells[:n]), tuple(cells[n:])), colour_tokens(c))
+        index = dp2xn._get_index(n)
+        bits = dp2xn._plane_bits(board)
+        want = []
+        for t1, bb1, t2, bb2 in index.sec_borders.tolist():
+            mask = 0
+            for v in section_vertices(board, Border(t1, bb1), Border(t2, bb2)):
+                row, col = board.cell_of(v)
+                mask |= int(bits[board.cells[row][col]])
+            want.append(mask)
+        assert dp2xn._section_masks(board, index, bits).tolist() == want, board.cells
 
 
 def _own_records(index):
@@ -338,7 +384,9 @@ def test_slots_are_numbered_in_layer_order(n):
     # upwards, each parent's split records one run, children in earlier
     # layers.
     index = dp2xn._SectionIndex(n)
-    sizes = index.cells.sum(axis=(1, 2))[index.slot_sid]
+    board = Board2xN(n, ((0,) * n, (0,) * n), ("a",))
+    sizes = np.array([len(section_vertices(board, Border(t1, bb1), Border(t2, bb2)))
+                      for t1, bb1, t2, bb2 in index.sec_borders.tolist()])[index.slot_sid]
     assert (np.diff(sizes) >= 0).all()
     bounds = index.layer_bounds
     assert bounds[0] == 0 and bounds[-1] == len(index.slot_sid)
@@ -673,7 +721,8 @@ def test_one_index_serves_every_colour_count(monkeypatch):
     modes = ("reference", "worklist")
     monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
     shared = [solve(board, mode=mode)[1] for board in boards for mode in modes]
-    assert [table._values.shape[1] for table in shared] == [2, 2, 4, 4, 6, 6]
+    assert [table._values.shape[1] for table in shared] == [
+        k << (k - 1) for k in (2, 2, 4, 4, 6, 6)]
     assert len({id(table._index) for table in shared}) == 1
     for table in shared:
         monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
@@ -718,7 +767,7 @@ def test_recolour_follows_its_definition(monkeypatch):
                          for J in range(1 << k)] for row in base]
             want = [[[min(int(t[s, j, p]), 1 + base[s][imap[j][p]])
                       for p in range(1 << (k - 1))] for j in range(k)] for s in range(len(t))]
-            dp2xn._recolour(t, plan, None, close=close)
+            dp2xn._recolour(t.reshape(len(t), -1), plan, None, close=close)
             assert t.tolist() == want, (k, close)
 
 
@@ -772,14 +821,14 @@ def test_tables_are_the_least_fixed_point_of_the_rules():
             _, table = solve(board, mode=mode)
             index = table._index
             assert table._values.dtype == np.int16
-            assert table._values.shape == (len(index.slot_sid), k, 1 << (k - 1))
+            assert table._values.shape == (len(index.slot_sid), k << (k - 1))
             # Every palette colour on every full plane, (colour, plane, slot).
             values = table._dense.transpose(1, 2, 0).astype(np.int64)
             seeds = np.full(values.shape, dp2xn.INF, dtype=np.int64)
             stored = dp2xn._dense_seeds(board, index, table._masks, bits)[0]
             assert len(stored) == len(index.slot_sid) + 1 and (stored[-1] == dp2xn.INF).all()
             for j, d in enumerate(present):
-                seeds[d] = stored[:-1, j, planes[j]].T
+                seeds[d] = stored[:-1].reshape(-1, k, 1 << (k - 1))[:, j, planes[j]].T
             imap = np.arange(1 << k)[None, :] | bits[:, None]  # I + {d}
             rules = np.minimum(seeds, values.min(axis=0)[imap] + 1)
             parents, left, right = _own_records(index)
@@ -811,7 +860,7 @@ def test_planes_read_only_the_section_colours():
             _, table = solve(board, mode=mode)
             index = table._index
             for slot, sid in enumerate(index.slot_sid.tolist()):
-                t1, bb1, t2, bb2 = index.geoms[sid]
+                t1, bb1, t2, bb2 = index.sec_borders[sid].tolist()
                 section = 0
                 for v in section_vertices(board, Border(t1, bb1), Border(t2, bb2)):
                     row, col = board.cell_of(v)
@@ -893,7 +942,7 @@ def test_unreached_entries_read_inf_and_have_no_rule():
         unreached = np.argwhere((table._dense >= dp2xn.INF) & table._canonical()[:, None, :])
         assert len(unreached), mode
         for slot, d, plane in unreached.tolist():
-            t1, bb1, t2, bb2 = index.geoms[index.slot_sid[slot]]
+            t1, bb1, t2, bb2 = index.sec_borders[index.slot_sid[slot]].tolist()
             r1, r2 = index.slot_ends[slot].tolist()
             ignore = sum(1 << col for j, col in enumerate(present) if plane >> j & 1)
             key = ZKey(Border(t1, bb1), Border(t2, bb2), r1, r2, d, ignore)
