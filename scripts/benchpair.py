@@ -32,8 +32,12 @@ def alternate(sides, runs):
         yield from sides if r % 2 == 0 else sides[::-1]
 
 
+def child_env(src):
+    """The environment of a child process with the tree at src importable."""
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+
 def run_child(src, child, *argv):
     """Stdout of `python -c child argv...` with the tree at src importable."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    return subprocess.run([sys.executable, "-c", child, *argv], env=env, check=True,
-                          stdout=subprocess.PIPE, text=True).stdout
+    return subprocess.run([sys.executable, "-c", child, *argv], env=child_env(src),
+                          check=True, stdout=subprocess.PIPE, text=True).stdout

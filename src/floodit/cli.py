@@ -1,8 +1,9 @@
 """Command-line interface: floodit solve|reduce|verify|gen|bench.
 
-Exit codes: 0 success, 1 usage error or failed verification (a move
-sequence that fails its replay included), 2 parse error or a file that
-cannot be read or written, 3 capacity or budget exhaustion.
+Exit codes, all assigned in `main`: 0 success, 1 usage error or failed
+verification (a move sequence that fails its replay included), 2 parse
+error or a file that cannot be read or written, 3 capacity or budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
+
+
+class _FileError(Exception):
+    """A file that cannot be read, parsed or written: exit 2."""
 
 
 def _build_parser() -> _Parser:
@@ -88,17 +93,19 @@ def _sequence_payload(board, moves):
     return out
 
 
-def _cmd_solve(args) -> int:
+def _read(path, parse):
+    """parse applied to the text of the file at path."""
     try:
-        with open(args.board) as fh:
-            board = parse_board(fh.read())
+        with open(path) as fh:
+            return parse(fh.read())
     except OSError as exc:
-        print(f"error: cannot read {args.board}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _FileError(f"cannot read {path}: {exc}") from None
     except ParseError as exc:
-        print(f"error: {args.board}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _FileError(f"{path}: {exc}") from None
 
+
+def _cmd_solve(args) -> int:
+    board = _read(args.board, parse_board)
     target = None
     if args.target is not None:
         if args.target not in board.palette:
@@ -113,32 +120,22 @@ def _cmd_solve(args) -> int:
 
     start = time.perf_counter()
     moves = None
-    try:
-        if method == "dp":
-            value, table = dp2xn.solve(board, target=target, time_budget=args.time_budget)
-            if args.json:
-                stats = table.stats().__dict__
-            if args.emit_sequence:
-                moves = dp2xn.reconstruct(table)  # replay-validated
-        else:
-            budget = oracle.SearchBudget(max_seconds=args.time_budget)
-            graph = to_graph(board)
-            result = oracle.min_moves(graph, target=target, budget=budget)
-            if not result.is_exact:
-                print(f"error: search budget exhausted ({result.reason})", file=sys.stderr)
-                return EXIT_CAPACITY
-            value = result.value
-            stats = {"states": result.states_explored}
-            if args.emit_sequence:
-                if not oracle.validate_witness(graph, result, target):
-                    raise ReconstructionError("search witness failed replay validation")
-                moves = result.witness
-    except (CapacityError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ReconstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if method == "dp":
+        value, table = dp2xn.solve(board, target=target, time_budget=args.time_budget)
+        if args.json:
+            stats = table.stats().__dict__
+        if args.emit_sequence:
+            moves = dp2xn.reconstruct(table)  # replay-validated
+    else:
+        budget = oracle.SearchBudget(max_seconds=args.time_budget)
+        graph = to_graph(board)
+        result = oracle.min_moves(graph, target=target, budget=budget)
+        value = _exact_value(result)
+        stats = {"states": result.states_explored}
+        if args.emit_sequence:
+            if not oracle.validate_witness(graph, result, target):
+                raise ReconstructionError("search witness failed replay validation")
+            moves = result.witness
     millis = (time.perf_counter() - start) * 1000.0
 
     if args.json:
@@ -162,16 +159,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    try:
-        with open(args.graph) as fh:
-            instance = reduction.parse_graph(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read {args.graph}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParseError as exc:
-        print(f"error: {args.graph}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    board, meta = reduction.build_board(instance)
+    board, meta = reduction.build_board(_read(args.graph, reduction.parse_graph))
     writes = [(args.output, serialize_board(board))]
     if args.meta:
         writes.append((args.meta, json.dumps(meta.as_dict(), indent=2) + "\n"))
@@ -180,8 +168,7 @@ def _cmd_reduce(args) -> int:
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            raise _FileError(f"cannot write {path}: {exc}") from None
     print(f"wrote {args.output}: n={meta.n}, N={meta.moves_base}, palette={len(board.palette)}")
     return EXIT_OK
 
@@ -199,11 +186,34 @@ def _failing(board) -> str:
 
 def _exact_value(result) -> int:
     """The value an oracle search found.  A search that gave up shows no
-    value wrong, so it raises BudgetExceededError, which verify maps to
+    value wrong, so it raises BudgetExceededError, which main maps to
     exit 3."""
     if not result.is_exact:
         raise BudgetExceededError(f"search budget exhausted ({result.reason})")
     return result.value
+
+
+def _board_ok(board, per_target: bool) -> bool:
+    """One board of a verify suite: both modes and the oracle give one
+    value, and the two modes store equal tables.  With per_target, every
+    target colour's value also equals the oracle's; without, the
+    reference table's reconstruction passes its replay."""
+    graph = to_graph(board)
+    value, table = dp2xn.solve(board)
+    vwl, twl = dp2xn.solve(board, mode="worklist")
+    exact = _exact_value(oracle.min_moves(graph))
+    # One board, index and plane plan: equal stored arrays, equal entries.
+    ok = value == vwl == exact and np.array_equal(table._values, twl._values)
+    if per_target:
+        for d in range(len(board.palette)):
+            vt, _goal = table.board_value(target=d)
+            ok &= vt == _exact_value(oracle.min_moves(graph, target=d))
+    elif ok:
+        try:
+            dp2xn.reconstruct(table)  # replay-validated
+        except ReconstructionError:
+            ok = False
+    return ok
 
 
 def _verify_exhaustive(n: int, colours: int) -> bool:
@@ -215,20 +225,9 @@ def _verify_exhaustive(n: int, colours: int) -> bool:
         raise CapacityError(f"exhaustive suite over {n} {colours} exceeds "
                             f"{EXHAUSTIVE_BOARD_CAP:,} boards up to renaming")
     tokens = gen.colour_tokens(colours)
-    ok = True
-    boards = 0
-    for cells in colourings:
+    for boards, cells in enumerate(colourings, 1):
         board = Board2xN(n, (cells[:n], cells[n:]), tokens)
-        graph = to_graph(board)
-        vref, tref = dp2xn.solve(board, mode="reference")
-        vwl, twl = dp2xn.solve(board, mode="worklist")
-        ok &= vref == vwl == _exact_value(oracle.min_moves(graph))
-        # One board, index and plane plan: equal stored arrays, equal entries.
-        ok &= np.array_equal(tref._values, twl._values)
-        for d in range(colours):
-            vt, _goal = tref.board_value(target=d)
-            ok &= vt == _exact_value(oracle.min_moves(graph, target=d))
-        boards += 1
+        ok = _board_ok(board, per_target=True)
         if not ok:
             break
     detail = f"{boards} boards up to renaming"
@@ -242,17 +241,7 @@ def _verify_random(rng, count: int, n: int, colours: int) -> bool:
     name = f"random {count} boards {n}x{colours}"
     for _ in range(count):
         board = gen.random_board(rng, n, colours)
-        value, table = dp2xn.solve(board)
-        vwl, twl = dp2xn.solve(board, mode="worklist")
-        exact = _exact_value(oracle.min_moves(to_graph(board)))
-        # One board, index and plane plan: equal stored arrays, equal entries.
-        ok = exact == value == vwl and np.array_equal(table._values, twl._values)
-        if ok:
-            try:
-                dp2xn.reconstruct(table)  # replay-validated
-            except ReconstructionError:
-                ok = False
-        if not ok:
+        if not _board_ok(board, per_target=False):
             return _report(name, False, _failing(board))
     return _report(name, True)
 
@@ -262,15 +251,10 @@ def _cmd_verify(args) -> int:
         raise _UsageError("choose at least one of --exhaustive/--random/--lemmas/--reduction")
     all_ok = True
     rng = random.Random(args.seed)
-
-    try:
-        if args.exhaustive:
-            all_ok &= _verify_exhaustive(*args.exhaustive)
-        if args.random:
-            all_ok &= _verify_random(rng, *args.random)
-    except (CapacityError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    if args.exhaustive:
+        all_ok &= _verify_exhaustive(*args.exhaustive)
+    if args.random:
+        all_ok &= _verify_random(rng, *args.random)
 
     if args.lemmas:
         ok_trees = True
@@ -367,24 +351,28 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"solve": _cmd_solve, "reduce": _cmd_reduce, "verify": _cmd_verify,
+             "gen": _cmd_gen, "bench": _cmd_bench}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code.  Every error a command
+    raises becomes its exit code here and nowhere else, save the error that
+    cuts bench's table short: bench reports it after the partial table."""
     try:
-        args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _FileError as exc:
+        code, error = EXIT_PARSE, exc
+    except ReconstructionError as exc:
+        code, error = EXIT_USAGE, exc
+    except (CapacityError, BudgetExceededError) as exc:
+        code, error = EXIT_CAPACITY, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def entrypoint():

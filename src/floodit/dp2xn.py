@@ -371,7 +371,9 @@ class _SectionIndex:
     dominating path, listed once per translated shape.
 
     Section sid lies between the borders sec_borders[sid] = (t1, b1, t2,
-    b2), and by_geom maps those four back to sid.  Between borders of skew
+    b2), and sec_of[2 t1 + b1, 2 t2 + b2] is sid, -1 where the two borders
+    bound no section: low_skew_borders lists border (t, b) at position 2t +
+    b, so the full board is sec_of[0, 3n].  Between borders of skew
     at most one, each row of a section is an interval whose first and last
     cells are its end cells (lemma "row intervals"), so a slot is named by
     its section and the rows (a, b) of its two attachments: slot_of[sid, a,
@@ -403,7 +405,6 @@ class _SectionIndex:
         # sec_borders[sid, 2 + r] - 1.
         sec = self.sec_borders = np.stack([bt[sec_i], bb[sec_i], bt[sec_j], bb[sec_j]], axis=1)
         geoms = sec.tolist()
-        self.by_geom = {tuple(g): sid for sid, g in enumerate(geoms)}
         first, stop = sec[:, :2], sec[:, 2:]
         filled = stop > first
         # or_at[r, sid]: the flat position of row r's interval in a board's
@@ -706,7 +707,7 @@ def _section_masks(board, index, bits):
 class DPTable:
     """Solved table: values over the key space plus solve metadata."""
 
-    def __init__(self, board, index, mode, masks, bits, target, values, plan, sweeps=0):
+    def __init__(self, board, index, mode, masks, bits, target, values, plan):
         self.board = board
         self.mode = mode
         self.target = target
@@ -720,7 +721,6 @@ class DPTable:
         # plan's gather map reads.
         self._values = values
         self._plan = plan
-        self._sweeps = sweeps
         self._entries = None
         self.value = None
         self.goal = None  # (slot, d) achieving the value
@@ -833,10 +833,11 @@ class DPTable:
         the key's ignored colours that occur on the board.  Raises
         InputError for a colour or an ignore mask outside the palette, or a
         key with no slot."""
-        c1, c2 = geo.section_cells(self.board, z.b1, z.b2, z.r1, z.r2)
-        sid = self._index.by_geom.get((*z.b1, *z.b2))
-        if sid is None:
-            raise InputError(f"no section for borders {z.b1}, {z.b2}")
+        b1, b2 = z.b1, z.b2
+        c1, c2 = geo.section_cells(self.board, b1, b2, z.r1, z.r2)
+        if abs(b1.t - b1.b) > 1 or abs(b2.t - b2.b) > 1:
+            raise InputError(f"no section for borders {b1}, {b2}")
+        sid = self._index.sec_of.item(2 * b1.t + b1.b, 2 * b2.t + b2.b)
         slot = self._index.pair_slot(sid, c1, c2)
         if slot is None:
             raise InputError(f"({z.r1}, {z.r2}) is not a valid attachment pair")
@@ -889,15 +890,16 @@ class DPTable:
             keys += np.count_nonzero(finite)
             zeros += np.count_nonzero(zero & canon)
             max_value = max(max_value, int(v.max(where=finite, initial=0)))
+        sweeps = len(self._index.layer_bounds) - 1 if self.mode == "reference" else 0
         return TableStats(keys=int(keys), zeros=int(zeros), max_value=max_value,
-                          sweeps=self._sweeps, relaxations=int(relaxations))
+                          sweeps=sweeps, relaxations=int(relaxations))
 
 
 # -- solvers ---------------------------------------------------------------
 
 
 def _goal_slots(board, index):
-    sid = index.by_geom[(0, 0, board.n, board.n)]
+    sid = index.sec_of.item(0, 3 * board.n)
     return [slot for slot in index.slot_of[sid].ravel().tolist() if slot >= 0]
 
 
@@ -1031,8 +1033,6 @@ def _solve_dense(t, plan, index, deadline):
     less |J|, one plain minimum per plane bit (lemma "popcount shift").  Then
     colour j's row on plane I takes 1 + W(I + {j}).  The plane plan holds
     the maps and offsets for the board's colour count.
-
-    Returns the number of layers.
     """
     # Slot-major: a layer is one contiguous slot range, its split records
     # one (parent, rank) rectangle, and each child one row of entries.
@@ -1045,7 +1045,6 @@ def _solve_dense(t, plan, index, deadline):
             _lower_layer(t, t[lo:hi], index.rec_left[rlo:rhi].reshape(shape),
                          index.rec_right[rlo:rhi].reshape(shape), deadline)
         _recolour(t[lo:hi], plan, deadline, close=True)
-    return len(bounds) - 1
 
 
 def _windows(index, cap):
@@ -1178,11 +1177,10 @@ def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference"
     masks = _section_masks(board, index, bits)
     values, plan = _dense_seeds(board, index, masks, bits)
     if mode == "reference":
-        sweeps = _solve_dense(values, plan, index, deadline)
+        _solve_dense(values, plan, index, deadline)
     else:
         _solve_buckets(values, plan, index, deadline)
-        sweeps = 0
-    table = DPTable(board, index, mode, masks, bits, target, values[:-1], plan, sweeps)
+    table = DPTable(board, index, mode, masks, bits, target, values[:-1], plan)
 
     best, goal = table.board_value(target)
     if best >= INF:

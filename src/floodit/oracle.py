@@ -30,10 +30,13 @@ cannot empty first: an unflooded state has a component with an allowed
 mover and a neighbour of another colour, and a wrong-coloured flood has its
 recolour to the target.
 
-Budgets.  `states_explored` counts expanded states, not generated ones.
-`SearchBudget.max_states` bounds that count and `SearchBudget.max_seconds`
-the wall-clock time, checked once per expanded state.  Running out of
-either gives status "unknown" with the reason, never a wrong value.
+Budgets.  `SearchBudget.max_states` bounds the colourings the search
+stores, every one it has generated, since those are what its memory holds;
+`SearchBudget.max_seconds` bounds the wall-clock time.  Both are checked
+once per expanded state, so the store overshoots its bound by at most one
+state's moves.  Running out of either gives status "unknown" with the
+reason, never a wrong value.  `states_explored` counts expanded states,
+not generated ones.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ def min_moves(
         if reached[state][0] < depth:
             continue  # queued again since, at a smaller depth
         explored += 1
-        if explored > budget.max_states:
+        if len(reached) > budget.max_states:
             return MinMovesResult(
                 "unknown", None, None, explored, reason="state budget exhausted"
             )
@@ -292,10 +295,7 @@ def spanning_trees(g: ColouredGraph, limit: int = 100_000):
 
 
 def check_spanning_tree_theorem(
-    g: ColouredGraph,
-    d: int,
-    budget: Optional[SearchBudget] = None,
-    tree_limit: int = 100_000,
+    g: ColouredGraph, d: int, budget: Optional[SearchBudget] = None
 ) -> Optional[bool]:
     """Does the graph optimum for target d equal the best optimum over its
     spanning trees?  Returns None when a budget runs out."""
@@ -303,7 +303,7 @@ def check_spanning_tree_theorem(
     if not whole.is_exact:
         return None
     best = None
-    for tree in spanning_trees(g, limit=tree_limit):
+    for tree in spanning_trees(g):
         res = min_moves(tree.graph, target=d, budget=budget)
         if not res.is_exact:
             return None

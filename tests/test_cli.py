@@ -141,6 +141,22 @@ def test_solve_time_budget_reaches_the_search(tmp_path, capsys):
         assert "value 5 (method bfs" in capsys.readouterr().out
 
 
+def test_solve_bfs_out_of_state_budget_exits_3(tmp_path, monkeypatch, capsys):
+    from floodit import oracle
+    min_moves = oracle.min_moves
+
+    def one_state(graph, **kwargs):
+        kwargs["budget"] = oracle.SearchBudget(max_states=1)
+        return min_moves(graph, **kwargs)
+
+    monkeypatch.setattr(oracle, "min_moves", one_state)
+    board = write(tmp_path / "b.txt", "2\na b\nb a\n")
+    assert main(["solve", board, "--method", "bfs"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: search budget exhausted (state budget exhausted)\n"
+    assert captured.out == ""
+
+
 def test_solve_parse_error_exit_2(tmp_path, capsys):
     board = write(tmp_path / "b.txt", "2\na b\nb\n")
     assert main(["solve", board]) == 2
@@ -182,6 +198,18 @@ def test_reduce_unwritable_output_exits_2(flag, tmp_path, capsys):
 def test_reduce_rejects_isolated_vertex(tmp_path, capsys):
     graph = write(tmp_path / "g.txt", "p 3\n0 1\n")
     assert main(["reduce", graph, "-o", str(tmp_path / "b.txt")]) == 2
+
+
+def test_reduce_unreadable_or_malformed_graph_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "b.txt")
+    missing = str(tmp_path / "missing.txt")
+    assert main(["reduce", missing, "-o", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+    graph = write(tmp_path / "g.txt", "0 0\n")
+    assert main(["reduce", graph, "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {graph}: line 1: self-loop at vertex 0\n"
+    assert captured.out == ""
 
 
 def test_verify_reduction(capsys):
@@ -319,6 +347,23 @@ def test_bench_large_palette_is_valid_input(capsys):
     # Only the table-entry cap limits a solve, not the palette size.
     assert main(["bench", "--n-range", "2..2", "--colours", "40", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["rows"][0]["n"] == 2
+
+
+def test_bench_over_time_budget_emits_the_partial_table(monkeypatch, capsys):
+    from floodit import cli
+    solve = dp2xn.solve
+
+    def budgeted_from_width_3(board, time_budget=None, **kwargs):
+        return solve(board, time_budget=time_budget if board.n >= 3 else None, **kwargs)
+
+    monkeypatch.setattr(cli, "BENCH_BUDGET_SECONDS", 1e-9)
+    monkeypatch.setattr(dp2xn, "solve", budgeted_from_width_3)
+    assert main(["bench", "--n-range", "1..4", "--colours", "2"]) == 3
+    captured = capsys.readouterr()
+    header, *rows = captured.out.splitlines()
+    assert header.split() == ["n", "value", "millis", "keys", "sweeps"]
+    assert [row.split()[0] for row in rows] == ["1", "2"]
+    assert captured.err == "error: time budget exceeded; emitted partial table\n"
 
 
 def test_bench_key_space_over_cap_reports_capacity(capsys):

@@ -324,12 +324,31 @@ def test_index_geometry_matches_board_functions(n):
     for sid, (v1, v2) in zip(index.slot_sid.tolist(), index.slot_ends.tolist()):
         t1, bb1, t2, bb2 = index.sec_borders[sid].tolist()
         got_slots.append((Border(t1, bb1), Border(t2, bb2), v1, v2))
-    assert sorted(index.by_geom) == sorted((*b1, *b2) for b1, b2 in sections)
+    got_sections = sorted(map(tuple, index.sec_borders.tolist()))
+    assert got_sections == sorted((*b1, *b2) for b1, b2 in sections)
     assert sorted(got_slots) == sorted(slots)
     parents, left, right = _own_records(index)
     assert len(parents) == len(records)
     assert {(got_slots[p], got_slots[l], got_slots[r]) for p, l, r in zip(
         parents.tolist(), left.tolist(), right.tolist())} == records
+
+
+def test_low_skew_border_position_is_2t_plus_b():
+    # The index names a section by sec_of[2 t1 + b1, 2 t2 + b2].
+    for n in range(1, 61):
+        assert [2 * t + b for t, b in low_skew_borders(n)] == list(range(3 * n + 1)), n
+
+
+def test_key_with_a_high_skew_border_has_no_section():
+    # Borders (0, 0) and (3, 1) bound a section, but (3, 1) has skew 2, so
+    # no slot of the index lies between them.
+    board = board_of("aba", "bab")
+    _, table = solve(board)
+    key = ZKey(Border(0, 0), Border(3, 1), board.vertex(0, 0), board.vertex(0, 2), 0, 0)
+    with pytest.raises(InputError, match=re.escape("no section for borders")):
+        table.value_of(key)
+    with pytest.raises(InputError, match=re.escape("no section for borders")):
+        table.back_pointer(key)
 
 
 def test_section_end_cells_are_the_row_interval_ends():

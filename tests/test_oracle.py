@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,21 @@ def test_budget_exhaustion_is_explicit():
     g = to_graph(board_from_tokens(list("abc"), list("cab")))
     res = min_moves(g, budget=SearchBudget(max_states=1))
     assert res.status == "unknown" and res.value is None
+
+
+def test_state_budget_bounds_the_stored_colourings():
+    # A 2x20 board with 4 colours generates some 14 colourings per expanded
+    # one, each about 0.5 KiB as stored: a bound on the expanded count alone
+    # lets 5,000 expansions hold some 39 MiB.
+    g = to_graph(random_board(random.Random(3), 20, 4))
+    tracemalloc.start()
+    try:
+        res = min_moves(g, budget=SearchBudget(max_states=5000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "unknown" and res.reason == "state budget exhausted"
+    assert peak < 8 * 2**20
 
 
 def test_wall_clock_budget_is_explicit():
