@@ -347,12 +347,15 @@ _TABLE_ENTRY_CAP = 50_000_000
 _RECORD_CAP = 125_000_000
 # Entries of one block of a pass's temporaries.  A block is whole units, as
 # many as fit in this many entries or one unit that alone holds more: whole
-# parents' records in the split kernels (their sums), whole slots in the
-# recolour rule and the bucket starts, and whole layers' records in a
-# worklist window (_windows).  One parent's sums exceed a block only with 8
-# or more colours on the board (2x34-2x37 at 8, 2x16-2x25 at 9, 2x8-2x17 at
-# 10, 2x6-2x12 at 11 and 2x6-2x8 at 12), and the entry cap bounds them at
-# 1,277,952 entries, 2.4 MB of int16 (2x8 with 12 colours).
+# parents' records in the split kernels, whole slots in the recolour rule
+# and the bucket starts, and whole layers' records in a worklist window
+# (_windows).  The reference kernel counts a layer's width in records per
+# parent; the worklist's counts its (rank, parent) buffer, the largest
+# offered count times the parents, which also bounds the offered sums.  One
+# parent's sums exceed a block only with 8 or more colours on the board
+# (2x34-2x37 at 8, 2x16-2x25 at 9, 2x8-2x17 at 10, 2x6-2x12 at 11 and
+# 2x6-2x8 at 12), and the entry cap bounds them at 1,277,952 entries, 2.4
+# MB of int16 (2x8 with 12 colours); such a block needs no buffer.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -965,38 +968,54 @@ def _recolour(t, plan, deadline, close=False):
         np.minimum(run, low.take(plan.imap.ravel(), axis=1), out=run)
 
 
-def _lower_by_splits(t, left, right, parents, starts, deadline, k):
+def _lower_by_splits(t, left, right, parents, starts, counts, deadline, k):
     """The split rule over the worklist's offered records, grouped by
     parent, on the table as rows (slot, entries), a block of whole parents
-    at a time: gather and add the children's rows, take each parent's least
-    sum (starts: its first record in the run) and lower the parent's row to
-    it.  A block holds as many whole parents as fit in _BLOCK_ENTRIES sums,
-    or one parent whose records alone hold more.  Returns per parent
-    whether an entry dropped from above k to k."""
+    at a time.  Parent p owns the counts[p] records from starts[p] on.  A
+    block of n parents whose largest count is m gathers and adds the
+    children's rows of its records only, scatters the sum of parent p's
+    r-th record to row r * n + p of an (m * n, entries) buffer filled with
+    2 * INF, above every sum, takes one least over the m ranks, as
+    _lower_layer does, and lowers the parents' rows to it; with m = 1 or n
+    = 1 the sums are that buffer as they stand.  A block holds the most
+    consecutive parents that keep m * n within _BLOCK_ENTRIES // entries,
+    or one parent whose records alone hold more.  Returns per parent whether
+    an entry dropped from above k to k."""
     dropped = np.empty(len(parents), dtype=bool)
     size = max(1, _BLOCK_ENTRIES // t.shape[1])
+    # A fancy index over these views moves whole rows as single items.
+    row = np.dtype((np.void, t.strides[0]))
     p0 = 0
     while p0 < len(parents):
         _check_deadline(deadline)
-        # Parents p0:p1 own records a:b: the rest if it fits, else the whole
-        # parents that fit, at least one.
-        a = starts.item(p0)
-        if len(left) - a <= size:
-            p1 = len(parents)
-        else:
-            p1 = max(p0 + 1, int(starts.searchsorted(a + size, "right")) - 1)
-        b = starts.item(p1) if p1 < len(parents) else len(left)
+        # Parents p0:p1 own records a:b: the rest if its largest count m
+        # times its number fits, else the most that fit, at least one.
+        m, p1 = int(counts[p0:].max()), len(parents)
+        if m * (p1 - p0) > size:
+            most = np.maximum.accumulate(counts[p0:p0 + size])
+            p1 = p0 + max(1, np.count_nonzero(most * np.arange(1, len(most) + 1) <= size))
+            m = most.item(p1 - p0 - 1)
+        n, a, b = p1 - p0, starts.item(p0), starts.item(p1 - 1) + counts.item(p1 - 1)
         # take converts the block's int32 ids to intp.  Record ids are in
         # range by construction, and mode "clip" skips the bounds check of
         # mode "raise".
         sums = t.take(left[a:b], axis=0, mode="clip")
         sums += t.take(right[a:b], axis=0, mode="clip")
-        low = np.minimum.reduceat(sums, starts[p0:p1] - a, axis=0)
-        rows = parents[p0:p1]
-        old = t[rows]
+        if m > 1 < n:
+            # Record i of parent p goes to row (i - starts[p]) * n + p.  Made
+            # after the rows, the buffer meets one index array, not three.
+            at = (np.arange(a * n, a * n + n) - starts[p0:p1] * n).repeat(counts[p0:p1])
+            at += np.arange(0, (b - a) * n, n)
+            rect = np.empty((m * n, t.shape[1]), dtype=t.dtype)
+            rect.fill(2 * INF)
+            rect.view(row)[at, 0] = sums.view(row)[:, 0]
+            sums = rect
+        low = sums.reshape(-1, n, t.shape[1]).min(axis=0)
+        sums = rect = at = None  # freed before the next block's takes
+        old = t.take(parents[p0:p1], axis=0)
         dropped[p0:p1] = ((low == k) & (old > k)).any(axis=1)
         np.minimum(old, low, out=low)
-        t[rows] = low
+        t.view(row)[parents[p0:p1], 0] = low.view(row)[:, 0]
         p0 = p1
     return dropped
 
@@ -1122,10 +1141,11 @@ def _solve_buckets(best, plan, index, deadline):
         # Slot first + p owns recs[at[p]:at[p + 1]].
         first, last = rec_start.searchsorted(recs[[0, -1]], "right") - 1
         at = recs.searchsorted(rec_start[first:last + 2])
-        owned = (at[1:] != at[:-1]).nonzero()[0]
+        counts = at[1:] - at[:-1]
+        owned = counts.nonzero()[0]
         parents = owned + first
         return parents[_lower_by_splits(best, rec_left.take(recs), rec_right.take(recs),
-                                        parents, at[owned], deadline, k)]
+                                        parents, at[owned], counts[owned], deadline, k)]
 
     k = -1
     while True:

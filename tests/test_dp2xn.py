@@ -673,42 +673,147 @@ def _count_blocks(monkeypatch):
     return calls
 
 
+class _SliceLog(np.ndarray):
+    """An array that logs the (start, stop) of every slice taken of it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.log.append((key.start, key.stop))
+        return np.asarray(self)[key]
+
+
+def _worklist_kernel(monkeypatch, table, left, right, parents, counts, block, k):
+    """The worklist kernel's table, its "dropped to k" mask, the record
+    spans of its blocks and the shapes of the arrays it makes with
+    np.empty, its (rank, parent) buffers among them, with blocks of block
+    entries."""
+    monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(dp2xn, "_check_deadline", lambda deadline: None)
+    shapes, empty = [], np.empty
+    monkeypatch.setattr(np, "empty", lambda shape, *args, **kw: shapes.append(shape) or empty(
+        shape, *args, **kw))
+    logged = left.view(_SliceLog)
+    logged.log = []
+    got = table.copy()
+    starts = np.r_[0, np.cumsum(counts)[:-1]]
+    dropped = dp2xn._lower_by_splits(got, logged, right, parents, starts, counts, None, k)
+    return got, dropped, logged.log, shapes
+
+
+def _lowered_per_parent(table, left, right, parents, counts, k):
+    """The same table and mask from a plain minimum over each parent's
+    sums in turn."""
+    want = table.copy()
+    sums = table[left].astype(np.int64) + table[right]
+    ends = np.cumsum(counts)
+    for p, lo, hi in zip(parents.tolist(), (ends - counts).tolist(), ends.tolist()):
+        want[p] = np.minimum(want[p], sums[lo:hi].min(axis=0))
+    return want, ((want[parents] == k) & (table[parents] > k)).any(axis=1)
+
+
+def _whole_parent_blocks(counts, size):
+    """The record spans of the blocks of whole parents, in order, each the
+    most that keep the largest count times the parents within size sums,
+    or one parent whose records alone hold more."""
+    spans, top, held, a = [], 0, 0, 0
+    for b, count in zip(np.cumsum(counts).tolist(), counts.tolist()):
+        if held and max(top, count) * (held + 1) > size:
+            spans.append((a, b - count))
+            top, held, a = 0, 0, b - count
+        top, held = max(top, count), held + 1
+    return spans + [(a, int(counts.sum()))]
+
+
+def _check_worklist_kernel(monkeypatch, table, left, right, parents, counts, blocks, k=0):
+    """The kernel against the per-parent minimum at each (block entries,
+    expected block count) pair; each block is a run of whole parents, and
+    each buffer stays within a block."""
+    want, want_dropped = _lowered_per_parent(table, left, right, parents, counts, k)
+    for block, count in blocks:
+        got, dropped, spans, shapes = _worklist_kernel(
+            monkeypatch, table, left, right, parents, counts, block, k)
+        assert spans == _whole_parent_blocks(counts, max(1, block // table.shape[1])), block
+        assert len(spans) == count, block
+        buffers = [shape for shape in shapes if isinstance(shape, tuple) and len(shape) == 2]
+        assert all(rows * entries <= block for rows, entries in buffers), block
+        assert np.array_equal(got, want), block
+        assert np.array_equal(dropped, want_dropped), block
+    return want_dropped
+
+
 def test_worklist_kernel_blocks_hold_whole_parents(monkeypatch):
     # Rows 0..19 are children, rows 20..39 parents with 3 to 6 records each.
-    # A block of 16 entries holds two rows' sums, so every parent alone
-    # holds more than a block and takes one block of its own, never cut
-    # over two; a block of 64 entries, eight sums, takes the parents in
-    # order while they fit.  The table and the per-parent "dropped to k"
-    # mask equal one block's.  k = 0, as no sum goes below it: the worklist
-    # offers no sum below k to an entry above k, since every value below k
-    # is final.
+    # A block of 16 entries holds two rows, so every parent alone holds more
+    # than a block and takes one block of its own, never cut over two.  A
+    # block of 64 entries, eight rows, takes the parents in order while their
+    # largest count times their number is at most eight: two parents of at
+    # most 4 records, else one, 18 blocks.  Blocks of 192 and 256 entries
+    # take 5 and 4.  The table and the per-parent "dropped to k" mask equal
+    # one block's.  k = 0, as no sum goes below it: the worklist offers no
+    # sum below k to an entry above k, since every value below k is final.
     rng = np.random.default_rng(1030)
     table = rng.integers(0, 3, size=(40, 8)).astype(np.int16)
     counts = rng.integers(3, 7, size=20)
-    parents = np.arange(20, 40)
-    starts = np.r_[0, np.cumsum(counts)[:-1]]
     left = rng.integers(0, 20, size=counts.sum()).astype(np.int32)
     right = rng.integers(0, 20, size=counts.sum()).astype(np.int32)
-    owner = np.repeat(parents, counts)
-    sums = table[left].astype(np.int64) + table[right]
-    want = table.copy()
-    for p in parents:
-        want[p] = np.minimum(want[p], sums[owner == p].min(axis=0))
-    want_dropped = ((want[parents] == 0) & (table[parents] > 0)).any(axis=1)
-    assert want_dropped.any() and not want_dropped.all()
-    packed, room = 0, 0
-    for count in counts.tolist():
-        if count > room:
-            packed, room = packed + 1, 8
-        room -= count
-    for block, blocks in ((1 << 18, 1), (64, packed), (16, len(parents))):
-        monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", block)
-        calls = _count_blocks(monkeypatch)
-        got = table.copy()
-        dropped = dp2xn._lower_by_splits(got, left, right, parents, starts, None, 0)
-        assert calls[0] == blocks, block
-        assert np.array_equal(got, want), block
-        assert np.array_equal(dropped, want_dropped), block
+    dropped = _check_worklist_kernel(monkeypatch, table, left, right, np.arange(20, 40), counts,
+                                     ((1 << 18, 1), (64, 18), (192, 5), (256, 4), (16, 20)))
+    assert dropped.any() and not dropped.all()
+
+
+def test_worklist_kernel_skewed_counts(monkeypatch):
+    # One parent with 30 records among eleven with one, rows of 4 entries.
+    # A block of 40 rows (160 entries) takes the five single parents, then
+    # the 30-record parent alone, since 30 x 2 rows exceed it, then the six
+    # others.  A block of 8 rows does the same, the 30 records alone
+    # holding more than it; a block of one row takes one parent at a time.
+    # The parents start at INF and a fifth of the children's entries are
+    # INF, so a sum of INF + INF lowers nothing, and neither does a cell of
+    # the buffer that no record fills.
+    rng = np.random.default_rng(1032)
+    table = rng.integers(0, 4, size=(22, 4)).astype(np.int16)
+    table[:10][rng.random((10, 4)) < 0.2] = dp2xn.INF
+    table[10:] = dp2xn.INF
+    counts = np.array([1] * 5 + [30] + [1] * 6)
+    left = rng.integers(0, 10, size=counts.sum()).astype(np.int32)
+    right = rng.integers(0, 10, size=counts.sum()).astype(np.int32)
+    _check_worklist_kernel(monkeypatch, table, left, right, np.arange(10, 22), counts,
+                           ((1 << 18, 1), (160, 3), (32, 3), (4, 12)))
+
+
+def test_worklist_kernel_one_record_per_parent(monkeypatch):
+    # Fifty parents with one record each lower their rows by their sums
+    # alone, ten parents to a block of 80 entries over rows of 8.
+    rng = np.random.default_rng(1033)
+    table = rng.integers(0, 3, size=(70, 8)).astype(np.int16)
+    counts = np.ones(50, dtype=np.int64)
+    left = rng.integers(0, 20, size=50).astype(np.int32)
+    right = rng.integers(0, 20, size=50).astype(np.int32)
+    dropped = _check_worklist_kernel(monkeypatch, table, left, right, np.arange(20, 70), counts,
+                                     ((1 << 18, 1), (80, 5), (8, 50)))
+    assert dropped.any() and not dropped.all()
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), parents=st.integers(1, 25), entries=st.sampled_from((1, 3, 8)),
+       block=st.integers(1, 2_000), k=st.integers(0, 3))
+def test_worklist_kernel_equals_per_parent_minimum(seed, parents, entries, block, k):
+    # Random tables of values k to k + 3, a quarter of them INF, 1 to 40
+    # records per parent and any block size: the table and the "dropped to
+    # k" mask equal a plain per-parent minimum, and every block is a run of
+    # whole parents.
+    rng = np.random.default_rng(seed)
+    children = 12
+    table = rng.integers(k, k + 4, size=(children + parents, entries)).astype(np.int16)
+    table[rng.random(table.shape) < 0.25] = dp2xn.INF
+    counts = rng.integers(1, 41, size=parents)
+    left = rng.integers(0, children, size=counts.sum()).astype(np.int32)
+    right = rng.integers(0, children, size=counts.sum()).astype(np.int32)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_worklist_kernel(monkeypatch, table, left, right,
+                               np.arange(children, children + parents), counts,
+                               ((block, len(_whole_parent_blocks(counts, max(1, block // entries)))),),
+                               k)
 
 
 def test_reference_kernel_blocks_hold_whole_parents(monkeypatch):
