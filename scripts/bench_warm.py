@@ -15,7 +15,8 @@ run to the same round's run of the first tree, with its median and
 quartiles; values_equal says whether every value equals the first tree's.
 
 Families (fixed seeds, `gen.random_board`): 2x4/4c, 2x5/4c and 2x6/4c, the
-sizes the perfbench worklist_warm workload solves, and 2x7/3c.
+sizes the perfbench worklist_warm workload solves, 2x7/3c, and 2x8/7c,
+where the ignore-set planes of 7 colours make the recolour rule weigh more.
 """
 
 import json
@@ -29,6 +30,7 @@ FAMILIES = {
     "2x5_4c": (5, 4),
     "2x6_4c": (6, 4),
     "2x7_3c": (7, 3),
+    "2x8_7c": (8, 7),
 }
 MODES = ("reference", "worklist")
 BOARDS_PER_FAMILY = 40

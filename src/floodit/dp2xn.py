@@ -347,9 +347,10 @@ _TABLE_ENTRY_CAP = 50_000_000
 _RECORD_CAP = 125_000_000
 # Entries of one block of a pass's temporaries.  A block is whole units, as
 # many as fit in this many entries or one unit that alone holds more: whole
-# parents' records in the split kernels, whole slots in the recolour rule
-# and the bucket starts, and whole layers' records in a worklist window
-# (_windows).  The reference kernel counts a layer's width in records per
+# parents' records in the split kernels, whole slots' rows in the recolour
+# rule, which also gives the worklist its next bucket's starts with no scan
+# of its own, and whole layers' records in a worklist window (_windows).
+# The reference kernel counts a layer's width in records per
 # parent; the worklist's counts its (rank, parent) buffer, the largest
 # offered count times the parents, which also bounds the offered sums.  One
 # parent's sums exceed a block only with 8 or more colours on the board
@@ -392,7 +393,10 @@ class _SectionIndex:
     rec_start[s]:rec_start[s + 1] and rec_start steps by the width within a
     layer.  A slot's own records come first, their children rec_left and
     rec_right in earlier layers; the rest of its records name the null
-    slot, id len(slot_sid), as both children.
+    slot, id len(slot_sid), as both children.  layers[l] = (lo, hi, left,
+    right) holds layer l's slots lo:hi and its records as (parent, rank)
+    views of rec_left and rec_right.  rec_above[s] is the first record
+    whose parent lies in a layer above slot s's.
     """
 
     def __init__(self, n: int, deadline=None):
@@ -467,6 +471,12 @@ class _SectionIndex:
         self.seed_cells = np.array(seed_cells, dtype=np.intp).reshape(-1, _SEED_CELLS)
         self.seed_slot = self.slot_of[tuple(np.reshape(seed_at, (-1, 3)).T)].astype(np.intp)
         self._build_records(bt, bb, deadline)
+        bounds = self.layer_bounds.tolist()
+        edges = self.rec_start[self.layer_bounds].tolist()
+        self.layers = [(lo, hi, self.rec_left[a:b].reshape(hi - lo, -1),
+                        self.rec_right[a:b].reshape(hi - lo, -1))
+                       for lo, hi, a, b in zip(bounds[:-1], bounds[1:], edges[:-1], edges[1:])]
+        self.rec_above = np.repeat(edges[1:], np.diff(self.layer_bounds))
 
     def pair_slot(self, sid, r1, r2):
         """Slot of the end cells r1, r2 of section sid, or None."""
@@ -542,20 +552,21 @@ class _PlanePlan:
     from j up move one place up.  Full plane J reads colour j's plane
     row_of[j, J], J without bit j, and gather[j, J] = j * 2^(k-1) +
     row_of[j, J] is that entry's column in a slot's row of k x 2^(k-1)
-    entries.  imap[j, p], colour j's plane p with bit j added, is the full
-    plane the recolour rule reads.  The recolour closure reads plus[j, J] =
-    J + {j} and adds the offsets size[J] = |J| and lift[J] = 1 - |J| (lemma
-    "popcount shift")."""
+    entries.  imap[j * 2^(k-1) + p], colour j's plane p with bit j added,
+    is the full plane the recolour rule reads for that column, flat as a
+    row.  The recolour closure reads plus[j, J] = J + {j} and adds the
+    offsets size[J] = |J| and lift[J] = 1 - |J| (lemma "popcount shift"),
+    columns of one entry per full plane."""
 
     def __init__(self, k: int):
         below = (1 << np.arange(k, dtype=np.intp))[:, None] - 1  # bits under bit j
         full = np.arange(1 << k, dtype=np.intp)
         compressed = full[: 1 << (k - 1)]
-        self.imap = (compressed & below) | ((compressed & ~below) << 1) | (below + 1)
+        self.imap = ((compressed & below) | ((compressed & ~below) << 1) | (below + 1)).ravel()
         self.plus = full | (below + 1)
         row_of = (full & below) | ((full >> 1) & ~below)
         self.gather = row_of + (np.arange(k, dtype=np.intp)[:, None] << (k - 1))
-        self.size = sum((full >> j) & 1 for j in range(k)).astype(np.int16)
+        self.size = sum((full >> j) & 1 for j in range(k)).astype(np.int16)[:, None]
         self.lift = 1 - self.size
         for array in vars(self).values():
             array.flags.writeable = False
@@ -912,9 +923,10 @@ def _dense_seeds(board, index, masks, bits):
     the null slot's last row, which padding records read.  Returns the seeds
     and the plane plan of the board's colour count, built once per count
     (_get_plan)."""
-    plan = _get_plan(int(np.count_nonzero(bits)))
-    k, planes = plan.imap.shape
-    t_init = np.full((len(index.slot_sid) + 1, k * planes), INF, dtype=np.int16)
+    k = int(np.count_nonzero(bits))
+    plan = _get_plan(k)
+    imap = plan.imap.reshape(k, -1)  # (colour, plane)
+    t_init = np.full((len(index.slot_sid) + 1, len(plan.imap)), INF, dtype=np.int16)
     # A listed path seeds its slot with colour d if every cell has colour d.
     # A slot may have several such paths, all with its r1 cell's colour.
     colours = np.ravel(board.cells)[index.seed_cells]
@@ -927,8 +939,8 @@ def _dense_seeds(board, index, masks, bits):
     # Seed every plane that holds the section's colours other than d; the
     # base lacks d's bit, which imap adds.
     base = masks[index.slot_sid[slots]] & ~bits[d]
-    hit, plane = np.nonzero((plan.imap[j] & base[:, None]) == base[:, None])
-    t_init.reshape(-1, k, planes)[slots[hit], j[hit], plane] = 0
+    hit, plane = np.nonzero((imap[j] & base[:, None]) == base[:, None])
+    t_init.reshape(len(t_init), k, -1)[slots[hit], j[hit], plane] = 0
     return t_init, plan
 
 
@@ -936,36 +948,56 @@ def _least_over_colours(rows, gather):
     """The least value over the table's colours, W(J) = min_j of the
     entry in column gather[j, J] of each row, a colour at a time: (slots,
     planes) for a run of rows and some of the map's columns, one value for
-    one row and one plane's column.  A take of a row's columns is two to
-    three times as fast as an index over (slot, colour, plane) on boards of
-    8 colours."""
+    one row and one plane's column.  DPTable's lookups read absent colours
+    through it."""
     low = rows.take(gather[0], axis=-1)
     for cols in gather[1:]:
         low = np.minimum(low, rows.take(cols, axis=-1))
     return low
 
 
-def _recolour(t, plan, deadline, close=False):
-    """The recolour rule on the run of slots t, in place, a block of slots
-    at a time: colour j's entry on plane p takes 1 + W(imap[j, p]) where
-    that is less, W the least value over the board's colours.  With close,
-    W first takes the least W(K) + |K - J| over supersets K of each full
-    plane J: the least X(K) = W(K) + |K| over them, one take of plus and
-    one np.minimum per plane bit, then lift adds 1 - |J| (lemma "popcount
-    shift").  Without it, the rule reads 1 + W."""
-    size = max(1, _BLOCK_ENTRIES // plan.gather.shape[1])
+def _recolour(t, plan, deadline, close=False, above=None):
+    """The recolour rule on the run of slots t, in place, a block of whole
+    slots' rows at a time: the entry in column c, colour j's on plane p,
+    takes 1 + W(imap[c]) where that is less, W the least value over the
+    board's colours.
+    With close, W first takes the least W(K) + |K - J| over supersets K of
+    each full plane J: the least X(K) = W(K) + |K| over them, one take of
+    plus and one np.minimum per plane bit, then lift adds 1 - |J| (lemma
+    "popcount shift").  Without it, the rule reads 1 + W.
+
+    Each block runs on an entry-major copy, (entry, slot), so that every
+    take copies whole rows of slots rather than one entry per index, and
+    is written back.  With above = k, returns each slot's least entry above
+    k after the rule, INF if none, taken from that copy: entry - (k + 1) as
+    uint16 wraps the entries at or below k past every other, so one plain
+    least, capped at INF - (k + 1), gives it less k + 1."""
+    size = max(1, _BLOCK_ENTRIES // t.shape[1])
+    if above is not None:
+        least = np.empty(len(t), dtype=np.uint16)
     for a in range(0, len(t), size):
         _check_deadline(deadline)
-        run = t[a:a + size]
-        low = _least_over_colours(run, plan.gather)
+        # A copy, never a view: with one colour the transpose is already
+        # contiguous, and the wrap below writes into the block.
+        run = t[a:a + size].T.copy()
+        low = run.take(plan.gather[0], axis=0)  # W, (full plane, slot)
+        for cols in plan.gather[1:]:
+            np.minimum(low, run.take(cols, axis=0), out=low)
         if close:
-            low += plan.size  # X, (slot, full plane)
+            low += plan.size  # X
             for plus in plan.plus:
-                np.minimum(low, low.take(plus, axis=1), out=low)
+                np.minimum(low, low.take(plus, axis=0), out=low)
             low += plan.lift
         else:
             low += 1
-        np.minimum(run, low.take(plan.imap.ravel(), axis=1), out=run)
+        np.minimum(run, low.take(plan.imap, axis=0), out=run)
+        t[a:a + size] = run.T
+        if above is not None:
+            run -= above + 1
+            np.minimum(run.view(np.uint16).min(axis=0), INF - (above + 1), out=least[a:a + size])
+    if above is not None:
+        least += above + 1
+        return least
 
 
 def _lower_by_splits(t, left, right, parents, starts, counts, deadline, k):
@@ -1055,14 +1087,10 @@ def _solve_dense(t, plan, index, deadline):
     """
     # Slot-major: a layer is one contiguous slot range, its split records
     # one (parent, rank) rectangle, and each child one row of entries.
-    bounds = index.layer_bounds.tolist()
-    edges = index.rec_start[index.layer_bounds].tolist()
-    for lo, hi, rlo, rhi in zip(bounds[:-1], bounds[1:], edges[:-1], edges[1:]):
+    for lo, hi, left, right in index.layers:
         _check_deadline(deadline)
-        if rhi > rlo:
-            shape = (hi - lo, (rhi - rlo) // (hi - lo))
-            _lower_layer(t, t[lo:hi], index.rec_left[rlo:rhi].reshape(shape),
-                         index.rec_right[rlo:rhi].reshape(shape), deadline)
+        if left.size:
+            _lower_layer(t, t[lo:hi], left, right, deadline)
         _recolour(t[lo:hi], plan, deadline, close=True)
 
 
@@ -1071,9 +1099,10 @@ def _windows(index, cap):
     a slot's records starts.  Window w is the records bounds[w]:bounds[w +
     1]: consecutive whole layers while their records number at most cap,
     or one larger layer alone.  above[s] is the first record whose parent
-    lies in a layer above slot s; children lie in earlier layers than their
-    parent, so every record with child s lies at or after above[s], and a
-    window of one layer holds no record with a parent in it as a child."""
+    lies in a layer above slot s, kept on the index for every cap;
+    children lie in earlier layers than their parent, so every record with
+    child s lies at or after above[s], and a window of one layer holds no
+    record with a parent in it as a child."""
     edges = index.rec_start[index.layer_bounds].tolist()
     bounds = [0]
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -1081,7 +1110,7 @@ def _windows(index, cap):
             bounds.append(lo)
     if bounds[-1] < edges[-1]:
         bounds.append(edges[-1])
-    return bounds, np.repeat(edges[1:], np.diff(index.layer_bounds))
+    return bounds, index.rec_above
 
 
 def _solve_buckets(best, plan, index, deadline):
@@ -1099,7 +1128,8 @@ def _solve_buckets(best, plan, index, deadline):
     none does.  A window of one layer never rescans.
     The pass starts at the first layer above the lowest slot at k: no
     earlier record has a child at k.  Then the recolour rule offers to
-    later buckets.
+    later buckets, and in the same pass reads each slot's least entry above
+    k, from which the next bucket starts.
 
     Offers read the table, so one may add a settled slot's tentative entry.
     A tentative value is the value of some derivation, so no offer goes
@@ -1116,10 +1146,8 @@ def _solve_buckets(best, plan, index, deadline):
     bucket a, and b >= 1 into a later bucket, which reads it at its start.
     """
     # Slot-major: a split record gathers its children as two rows of
-    # entries.  The bucket starts read the table a block of slots at a
-    # time, so their masks stay one block each.
+    # entries.
     rows = max(1, _BLOCK_ENTRIES // best.shape[1])
-    blocks = [best[a:a + rows] for a in range(0, len(best), rows)]
     rec_start, rec_left, rec_right = index.rec_start, index.rec_left, index.rec_right
     bounds, above = _windows(index, rows)
     # Slot states: 0 unsettled, 1 settled, 3 holds an entry at k, 2 dropped
@@ -1147,13 +1175,12 @@ def _solve_buckets(best, plan, index, deadline):
         return parents[_lower_by_splits(best, rec_left.take(recs), rec_right.take(recs),
                                         parents, at[owned], counts[owned], deadline, k)]
 
-    k = -1
+    # Each slot's least entry above the last bucket, every entry before the
+    # first: the slots where it is the next bucket k hold an entry at k.
+    # After the first bucket, the recolour rule returns it.
+    least = best.min(axis=1)
     while True:
         _check_deadline(deadline)
-        # Each slot's least entry above the last bucket: the slots where it
-        # is the next bucket k hold an entry at k.
-        least = np.concatenate([block.min(axis=1, where=block > k, initial=INF)
-                                for block in blocks])
         k = int(least.min())
         if k >= INF:
             break
@@ -1171,7 +1198,7 @@ def _solve_buckets(best, plan, index, deadline):
                 again = offer(a, b, k, True) if a < b else dropped[:0]
                 state[dropped] = 3
                 dropped = again
-        _recolour(best, plan, deadline)
+        least = _recolour(best, plan, deadline, above=k)
 
 
 def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference",

@@ -871,18 +871,23 @@ def test_recolour_follows_its_definition(monkeypatch):
     # colours on full plane J.  With close, W(J) is the least B(K) + |K - J|
     # over supersets K of J, and each entry takes min(itself, 1 +
     # W(imap)); without it, min(itself, 1 + B(imap)).  Blocks of three
-    # slots over seven, so the last block is short.
+    # slots' rows over seven, so the last block is short.  With above = k,
+    # the rule also returns each slot's least entry above k after it, INF
+    # where there is none: one row holds only entries at or below k and
+    # one only INF.
     rng = np.random.default_rng(1200)
     inf = dp2xn.INF
     for k in range(1, 7):
-        monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", 3 << k)
+        monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", 3 * k << (k - 1))
         row_of, imap = _plane_maps(k)
         plan = dp2xn._PlanePlan(k)
-        assert plan.imap.tolist() == imap
+        assert plan.imap.tolist() == sum(imap, [])
         assert plan.gather.tolist() == [[(j << (k - 1)) + p for p in row_of[j]] for j in range(k)]
-        for close in (False, True):
+        for close, above in itertools.product((False, True), (None, k)):
             t = rng.integers(0, 12, size=(7, k, 1 << (k - 1))).astype(np.int16)
             t[rng.random(t.shape) < 0.4] = inf
+            t[5] = rng.integers(0, k + 1, size=t[5].shape)
+            t[6] = inf
             base = [[min(int(t[s, j, row_of[j][J]]) for j in range(k)) for J in range(1 << k)]
                     for s in range(len(t))]
             if close:
@@ -891,8 +896,41 @@ def test_recolour_follows_its_definition(monkeypatch):
                          for J in range(1 << k)] for row in base]
             want = [[[min(int(t[s, j, p]), 1 + base[s][imap[j][p]])
                       for p in range(1 << (k - 1))] for j in range(k)] for s in range(len(t))]
-            dp2xn._recolour(t.reshape(len(t), -1), plan, None, close=close)
-            assert t.tolist() == want, (k, close)
+            least = dp2xn._recolour(t.reshape(len(t), -1), plan, None, close=close, above=above)
+            assert t.tolist() == want, (k, close, above)
+            if above is None:
+                assert least is None
+                continue
+            assert least.tolist() == [min([v for v in np.ravel(row) if v > k], default=inf)
+                                      for row in want], (k, close)
+            assert least.tolist()[5:] == [inf, inf]
+
+
+def test_worklist_bucket_starts_are_the_least_entries_above_the_bucket(monkeypatch):
+    # After bucket k the worklist's recolour step returns where the next
+    # bucket starts: each slot's least entry above k, which a masked least
+    # over the table gives too.  Every third board has absent palette
+    # colours.  The worklist tables equal the reference tables.
+    recolour, buckets = dp2xn._recolour, []
+
+    def checked(t, plan, deadline, close=False, above=None):
+        least = recolour(t, plan, deadline, close=close, above=above)
+        if above is not None:
+            assert np.array_equal(least, t.min(axis=1, where=t > above, initial=dp2xn.INF))
+            buckets.append(above)
+        return least
+
+    monkeypatch.setattr(dp2xn, "_recolour", checked)
+    rng = random.Random(1210)
+    for i in range(200):
+        n, c = rng.randint(1, 8), rng.randint(1 + (i % 3 == 0), 6)
+        used = rng.sample(range(c), rng.randint(1, c - 1)) if i % 3 == 0 else range(c)
+        cells = [rng.choice(used) for _ in range(2 * n)]
+        board = Board2xN(n, (tuple(cells[:n]), tuple(cells[n:])), colour_tokens(c))
+        want = solve(board, mode="reference")[1]._dense
+        buckets.clear()
+        assert np.array_equal(solve(board, mode="worklist")[1]._dense, want), board.cells
+        assert buckets[0] == 0 and buckets == sorted(set(buckets)), board.cells
 
 
 def test_plane_plans_are_shared_read_only_and_bounded(monkeypatch):
