@@ -57,6 +57,8 @@ COMMANDS = [
     "verify --random 0 4 3",
     "verify --random 1 10 20",
     "verify --reduction",
+    "verify --lemmas",
+    "verify --random 2 3 2 --lemmas --seed 4",
     "gen --n 4 --colours 3 --seed 9",
     "gen --n 0 --colours 2",
     "bench --n-range 1..4 --colours 2",

@@ -319,10 +319,10 @@ def _cmd_bench(args) -> int:
         try:
             value, table = dp2xn.solve(board, time_budget=BENCH_BUDGET_SECONDS)
         except BudgetExceededError:
-            error = "time budget exceeded; emitted partial table"
+            error = BudgetExceededError("time budget exceeded; emitted partial table")
             break
         except CapacityError as exc:
-            error = str(exc)
+            error = exc
             break
         millis = (time.perf_counter() - start) * 1000.0
         stats = table.stats()
@@ -346,8 +346,7 @@ def _cmd_bench(args) -> int:
                 f" {row['keys']:>10} {row['sweeps']:>7}"
             )
     if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_CAPACITY
+        raise error
     return EXIT_OK
 
 
@@ -357,8 +356,7 @@ _COMMANDS = {"solve": _cmd_solve, "reduce": _cmd_reduce, "verify": _cmd_verify,
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.  Every error a command
-    raises becomes its exit code here and nowhere else, save the error that
-    cuts bench's table short: bench reports it after the partial table."""
+    raises becomes its exit code here and nowhere else."""
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -20,7 +20,11 @@ class Move:
 
 
 class ColouredGraph:
-    """A connected, loop-free undirected graph with a vertex colouring."""
+    """A connected, loop-free undirected graph with a vertex colouring.
+
+    Connected means one block of `colouring_components` under a constant
+    colouring.
+    """
 
     __slots__ = ("num_vertices", "adjacency", "colouring", "palette")
 
@@ -55,22 +59,8 @@ class ColouredGraph:
         self.adjacency = adj
         self.colouring = col
         self.palette = pal
-        if not self._is_connected():
+        if len(colouring_components((0,) * n, adj)) != 1:
             raise InputError("graph must be connected")
-
-    def _is_connected(self) -> bool:
-        seen = [False] * self.num_vertices
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for u in self.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    count += 1
-                    stack.append(u)
-        return count == self.num_vertices
 
     def with_colouring(self, colouring: Sequence[int]) -> "ColouredGraph":
         """Cheap copy with a new colouring (adjacency/palette shared)."""

@@ -240,58 +240,40 @@ def _find(parent, a):
 def spanning_trees(g: ColouredGraph, limit: int = 100_000):
     """Yield every spanning tree of `g` exactly once as a TreeView.
 
-    Include/exclude recursion on the edge list with connectivity pruning;
-    meant for small graphs.  Raises EnumerationLimitError past `limit`.
+    A spanning tree is n - 1 edges that close no cycle.  The recursion
+    decides the edges of `g.edges()` in order, including an edge (when its
+    ends lie in different trees of the forest so far) before excluding it,
+    and drops a branch when too few edges remain to reach n - 1.  Meant for
+    small graphs.  Raises EnumerationLimitError past `limit`.
     """
     n = g.num_vertices
     edges = g.edges()
     m = len(edges)
     produced = 0
 
-    def connected_with(edge_subset_flags, from_index):
-        # Can the edges chosen so far plus all undecided edges still connect?
-        parent = list(range(n))
-        comps = n
-        for i, (a, b) in enumerate(edges):
-            if i < from_index and not edge_subset_flags[i]:
-                continue
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return comps == 1
-
-    chosen = [False] * m
-
-    def recurse(i, picked, uf_parent):
+    def recurse(i, picked, forest):
         nonlocal produced
-        if picked == n - 1:
+        if len(picked) == n - 1:
             produced += 1
             if produced > limit:
-                raise EnumerationLimitError(
-                    f"more than {limit} spanning trees"
-                )
+                raise EnumerationLimitError(f"more than {limit} spanning trees")
             adj = [[] for _ in range(n)]
-            for k, (a, b) in enumerate(edges):
-                if chosen[k]:
-                    adj[a].append(b)
-                    adj[b].append(a)
+            for a, b in picked:
+                adj[a].append(b)
+                adj[b].append(a)
             yield TreeView(ColouredGraph(adj, g.colouring, g.palette))
             return
-        if i == m:
+        if len(picked) + m - i < n - 1:
             return
         a, b = edges[i]
-        ra, rb = _find(uf_parent, a), _find(uf_parent, b)
+        ra, rb = _find(forest, a), _find(forest, b)
         if ra != rb:
-            child = list(uf_parent)
+            child = list(forest)
             child[ra] = rb
-            chosen[i] = True
-            yield from recurse(i + 1, picked + 1, child)
-            chosen[i] = False
-        if connected_with(chosen, i + 1):
-            yield from recurse(i + 1, picked, uf_parent)
+            yield from recurse(i + 1, picked + [(a, b)], child)
+        yield from recurse(i + 1, picked, forest)
 
-    yield from recurse(0, 0, list(range(n)))
+    yield from recurse(0, [], list(range(n)))
 
 
 def check_spanning_tree_theorem(

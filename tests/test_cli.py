@@ -220,6 +220,24 @@ def test_verify_reduction(capsys):
     assert "PASS reduction K3 -> UNRESOLVED" in out
 
 
+def test_verify_lemmas(monkeypatch, capsys):
+    assert main(["verify", "--lemmas"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS spanning-tree optimum equality (30 graphs)\n"
+        "PASS no-leaf-moves optimum equality (30 trees)\n"
+        "PASS cover subadditivity (30 graphs)\n"
+    )
+    from floodit import oracle
+
+    monkeypatch.setattr(oracle, "check_no_leaf_moves", lambda tree: False)
+    assert main(["verify", "--lemmas"]) == 1
+    assert capsys.readouterr().out == (
+        "PASS spanning-tree optimum equality (30 graphs)\n"
+        "FAIL no-leaf-moves optimum equality (30 trees)\n"
+        "PASS cover subadditivity (30 graphs)\n"
+    )
+
+
 def test_verify_random(capsys):
     assert main(["verify", "--random", "5", "4", "3", "--seed", "3"]) == 0
     assert "PASS random 5 boards" in capsys.readouterr().out

@@ -234,11 +234,21 @@ def test_spanning_trees_four_cycle():
 
 
 def test_spanning_trees_counts_match_matrix_tree():
+    # The callers' sizes: graphs of up to 9 vertices and 2xn board graphs.
     rng = random.Random(31)
-    for _ in range(12):
-        g = random_connected_graph(rng, rng.randint(2, 6), 2)
-        count = sum(1 for _ in spanning_trees(g))
-        assert count == matrix_tree_count(g)
+    graphs = [random_connected_graph(rng, rng.randint(2, 6), 2) for _ in range(12)]
+    graphs += [random_connected_graph(rng, rng.randint(5, 9), 2,
+                                      extra_edges=rng.randint(0, 10)) for _ in range(12)]
+    graphs += [to_graph(random_board(random.Random(n), n, 2)) for n in (4, 5, 6)]
+    for g in graphs:
+        # Distinct connected subgraphs of n - 1 edges of g, as many as the
+        # matrix-tree theorem counts: every spanning tree once.
+        keys = [tuple(t.graph.edges()) for t in spanning_trees(g)]
+        assert all(set(key) <= set(g.edges()) for key in keys)
+        assert len(set(keys)) == len(keys) == matrix_tree_count(g)
+        # Each edge is included before it is excluded, so the edge lists
+        # come in lexicographic order; the limit's cut depends on it.
+        assert keys == sorted(keys)
 
 
 def test_spanning_trees_distinct():
@@ -252,9 +262,12 @@ def test_spanning_trees_distinct():
 
 
 def test_spanning_trees_limit():
-    g = to_graph(board_from_tokens(list("aba"), list("bab")))
+    g = to_graph(board_from_tokens(list("aba"), list("bab")))  # 15 trees
     with pytest.raises(EnumerationLimitError):
         list(spanning_trees(g, limit=3))
+    with pytest.raises(EnumerationLimitError):
+        list(spanning_trees(g, limit=14))
+    assert len(list(spanning_trees(g, limit=15))) == 15
 
 
 def test_tree_view_accessors():
