@@ -9,8 +9,10 @@ with `dp2xn._get_index(n)`, then solves one board with
 (index_s), the wall time of both together (solve_s, comparable with rows
 that timed the solve with the index build inside), `ru_maxrss` of the
 process, the md5 of the solved table, expanded to (colour, ignore set,
-slot) over every palette colour and every subset of the board's colours,
-and the md5 of the move sequence `dp2xn.reconstruct` emits, as int64
+slot) over every palette colour and every subset of the board's colours
+and hashed as int64 with the table's INF (half its dtype's maximum) read
+as -1, so that it does not depend on the table's dtype, and the md5 of the
+move sequence `dp2xn.reconstruct` emits, as int64
 (vertex, colour) pairs (sequence_md5; the peak is read before the
 expansion and the reconstruction).  So one run checks that two trees give
 equal tables and emit equal sequences.  Then the process solves the board
@@ -53,8 +55,9 @@ value, table = dp2xn.solve(board, mode=sys.argv[2])
 seconds = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 # (colour, ignore set, slot) over every palette colour and every subset of
-# the board's colours, whatever layout the solver stores.
-full = np.ascontiguousarray(table._dense.transpose(1, 2, 0))
+# the board's colours, whatever layout and dtype the solver stores.
+full = np.ascontiguousarray(table._dense.transpose(1, 2, 0), dtype=np.int64)
+full[full >= np.iinfo(table._dense.dtype).max >> 1] = -1
 moves = np.array([(m.vertex, m.colour) for m in dp2xn.reconstruct(table)], dtype=np.int64)
 tracemalloc.start()
 dp2xn.solve(board, mode=sys.argv[2])

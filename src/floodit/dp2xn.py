@@ -249,11 +249,11 @@ slot, its own records first and then padding records, which name the null
 slot, id len(slot_sid), as both children.  The passes' table has one row
 more, the null slot's, which holds INF throughout: no split record has the
 null slot as parent, and the recolour rule offers an all-INF row only
-INF + 1.  A padding record's sum, 2 INF, still fits in int16 and lowers no
-entry, as every entry is at most INF.  The worklist's state of the null
-slot stays 0, as its row never holds an entry at a bucket, so no padding
-record passes the state test and none is offered.  DPTable keeps the table
-without the null row.
+INF + 1.  A padding record's sum, 2 INF, still fits in the table's dtype
+(lemma "table width") and lowers no entry, as every entry is at most INF.
+The worklist's state of the null slot stays 0, as its row never holds an
+entry at a bucket, so no padding record passes the state test and none is
+offered.  DPTable keeps the table without the null row.
 
 Two modes compute the same least fixed point.  "reference" makes one pass in
 structural order.  A split points from a section to two sections with fewer
@@ -284,17 +284,75 @@ pass adds |J| once and takes the superset minimum, one bit b at a time:
 every J takes min(X(J), X(J + b)), a take of the plane map J -> J + {b}
 and one np.minimum with no + 1, which leaves J unchanged where b is in J.
 Then it adds 1 - |J| to read 1 + W'(J) for the rule.  It stays exact in
-int16: W is at most INF = 2^14 - 1, so X is at most INF + k, and the entry
-cap keeps k at 12 or below, far under the 2^15 - 1 - INF that int16 leaves.
-The plane maps and both offsets depend on k alone, so one read-only plane
-plan per colour count serves every solve (_PlanePlan).
+the table's unsigned dtype: W is at most INF, so X is at most INF + k, and
+the entry cap keeps k at 12 or below (lemma "table width").  1 - |J| is
+stored wrapped modulo the dtype's range.  Every superset K of J has X(K) >=
+|K| >= |J|, so X'(J) + 1 - |J| >= 1 and the wrapped sum is the exact one.
+The plane maps and both offsets depend on k and the dtype alone, so one
+read-only plane plan per colour count and dtype serves every solve
+(_PlanePlan).
 
-The table is the int16 array both passes relax, one row per slot of k x
+The table is the unsigned array both passes relax, one row per slot of k x
 2^(k-1) entries, (colour on the board, ignore set without its bit) in
 row-major order: the split rule reads each child as one row and a layer is
-one slot range.  INF = 2^14 - 1 marks an entry no rule reaches, which
-value_of reads as +inf.  DPTable keeps that array and reads every (slot,
-palette colour, full plane) through one accessor.
+one slot range.  INF, half the dtype's maximum, marks an entry no rule
+reaches, which value_of reads as +inf.  DPTable keeps that array and reads
+every (slot, palette colour, full plane) through one accessor.
+
+Lemma (saturation).  Let v be the values the rules define over the
+integers, +inf where no derivation reaches, and INF the table's cap.  In
+any dtype that holds 2 INF and INF + k + 1, both passes end with min(v,
+INF) in every entry.  Proof.
+  1. A rule's result is at least each value it reads: values are
+     non-negative, a recolour step adds 1 and a split the other child's
+     value.  So every sub-derivation of a derivation below INF is below INF.
+  2. An entry starts at 0 or INF and only drops, to a rule's result over
+     entries of at most INF: at most 2 INF for a split, and INF + k + 1
+     inside the closure (lemma "popcount shift").  The dtype holds these,
+     so every result is computed exactly.  Over entries at least min(v,
+     INF) a result is at least min(v, INF) of the entry it offers to, as
+     min(a, INF) + min(b, INF) >= min(a + b, INF), so no entry drops below
+     min(v, INF).
+  3. The passes' own arguments use only that a result is at least what it
+     reads, so each pass applies every derivation below INF in full, on
+     the exact values of steps 1 and 2.
+So below INF the dtype changes no value, and an entry whose value is INF
+or more reads INF, as if no rule reached it.
+
+Lemma (value bound).  On a slot whose section has c cells, every finite
+entry is at most c, so at most 2n.  Proof.  Let W(I) be the slot's least
+v(d', I) over the board's colours, and F the plane of all of them.
+  1. v(d, I) <= 1 + W(I) for every colour d: for a board colour by the
+     recolour rule, as v(d', I + {d}) <= v(d', I) (values do not increase
+     as I grows, lemma "absent colours"), and an absent colour reads 1 +
+     W(I).  So it suffices that W(I) <= c - 1 on every slot with a finite
+     entry, for every I, by induction on c.  W(I) is finite on such a
+     slot: recolouring through the colours outside I, one at a time,
+     gives W(I) <= |F - I| + W(F), and W(F) is at most any finite entry.
+  2. A derivation of W(F) = v(d, F) is a seed or a split at its root: a
+     recolour step would read v(d', F + {d}) = v(d', F) >= W(F) and add 1.
+  3. A seed: the section holds a d-coloured dominating r1-r2 path P.  Let
+     e_1, ..., e_q be the colours of the off-path cells other than d and
+     outside I, so q <= c - |P| <= c - 1.  The entry (d, I + {e_1, ...,
+     e_q}) passes zero_test, so it is 0 (lemma "seeds compose"), and the
+     recolour rule gives v(e_i, I_i) <= 1 + v(e_(i+1), I_i + {e_i}), with
+     I_i = I + {e_1, ..., e_(i-1)} and e_(q+1) = d.  So W(I) <= q.
+  4. A split over a record with children l and r, of c_l and c_r cells:
+     both hold finite entries on F, so W_l(I) <= c_l - 1 and W_r(I) <= c_r
+     - 1 by induction.  Let e achieve W_r(I).  The split rule gives W(I) <=
+     v_l(e, I) + v_r(e, I) <= 1 + W_l(I) + W_r(I) <= c_l + c_r - 1 = c - 1,
+     as the children partition the parent's cells (lemma "split parents").
+The bound is tight: on the 2x1 board with two colours, the slot whose path
+is the top cell holds 2 for the top cell's colour on the empty plane, since
+the bottom cell must be absorbed and the top cell end in its own colour.
+
+Lemma (table width).  The table is uint8 while 2n + 1 < 127, that is up to
+2x62, and uint16 above, with INF half the dtype's maximum: 127 and 2^15 -
+1.  Both dtypes hold 2 INF and INF + k + 1 for k <= 12, which the entry cap
+ensures, and every finite entry, at most 2n (lemma "value bound"), lies
+below INF with a margin of one.  So by lemma "saturation" the table is
+exact.  tests/test_dp2xn.py checks the bound on random boards and the two
+dtypes against each other on either side of the switch.
 """
 
 from __future__ import annotations
@@ -318,9 +376,6 @@ from .errors import (
     ReconstructionError,
 )
 
-# Values stay within the board's cell count, and a split sum of two INF
-# entries still fits in int16.
-INF = (1 << 14) - 1
 # Zero seeds come only from sections of at most this many cells; the split
 # rule (0 + 0 = 0) builds every larger zero (lemma "seeds compose").  This is
 # the threshold, not a margin: with 3 some tables change (board values hold),
@@ -332,13 +387,15 @@ _SEED_CELLS = 4
 _WIDE_CELLS = 7
 # Table entries (slots x palette x 2^k, k colours on the board) a solve
 # accepts.  The table stores k x 2^(k-1) x slots of them, half or fewer,
-# int16.  Over the 31 MB a process holds before the solve, a solve peaks at
-# about 2.4 B per stored entry in either mode: the table and temporaries of
-# one block each (_BLOCK_ENTRIES).  Measured on a 2x10 board with 11
-# colours (16.6M stored entries, fresh processes): 72 MB peak RSS in
-# reference mode and 71 MB in worklist mode, 2.2 B per counted entry with a
-# palette of 11 (33.3M) and 1.5 B with a palette of 16 (48.4M).  So the cap
-# keeps a solve's table and temporaries under about 100 MB.
+# uint8 up to 2x62 and uint16 above (lemma "table width").  Over the 31 MB a
+# process holds before the solve, a solve peaks at about 1.3 B per stored
+# uint8 entry in either mode: the table and temporaries of one block each
+# (_BLOCK_ENTRIES).  Measured on a 2x10 board with 11 colours (16.6M stored
+# entries, fresh processes): 53 MB peak RSS in either mode, 1.6 B per
+# counted entry with a palette of 11 (33.3M) and 1.1 B with a palette of 16
+# (48.4M).  The same solve in 2-byte entries peaked at 72 MB, 2.4 B per
+# stored entry.  So the cap keeps a solve's table and temporaries under
+# about 100 MB.
 _TABLE_ENTRY_CAP = 50_000_000
 # Split records a section index may store, padding included.  The index
 # keeps 8 B per record (two int32 child slots), so the cap keeps it under 1
@@ -355,9 +412,24 @@ _RECORD_CAP = 125_000_000
 # offered count times the parents, which also bounds the offered sums.  One
 # parent's sums exceed a block only with 8 or more colours on the board
 # (2x34-2x37 at 8, 2x16-2x25 at 9, 2x8-2x17 at 10, 2x6-2x12 at 11 and
-# 2x6-2x8 at 12), and the entry cap bounds them at 1,277,952 entries, 2.4
-# MB of int16 (2x8 with 12 colours); such a block needs no buffer.
+# 2x6-2x8 at 12), and the entry cap bounds them at 1,277,952 entries, 1.2
+# MB of uint8 (2x8 with 12 colours); such a block needs no buffer.
 _BLOCK_ENTRIES = 1 << 18
+
+
+@functools.cache
+def _inf(dtype):
+    """INF of a table dtype: half its maximum, so that a split sum of two
+    INF entries still fits (lemma "table width").  Cached: np.iinfo costs
+    about a microsecond, and the worklist reads INF once per bucket."""
+    return np.iinfo(dtype).max >> 1
+
+
+def _table_dtype(n: int):
+    """The narrowest unsigned table dtype for width n: uint8 while every
+    finite entry, at most 2n (lemma "value bound"), and one more lie below
+    its INF, else uint16."""
+    return np.dtype(np.uint8 if 2 * n + 1 < _inf(np.uint8) else np.uint16)
 
 
 def _check_deadline(deadline):
@@ -555,10 +627,10 @@ class _PlanePlan:
     entries.  imap[j * 2^(k-1) + p], colour j's plane p with bit j added,
     is the full plane the recolour rule reads for that column, flat as a
     row.  The recolour closure reads plus[j, J] = J + {j} and adds the
-    offsets size[J] = |J| and lift[J] = 1 - |J| (lemma "popcount shift"),
-    columns of one entry per full plane."""
+    offsets size[J] = |J| and lift[J] = 1 - |J|, wrapped in the table's
+    dtype (lemma "popcount shift"), columns of one entry per full plane."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, dtype):
         below = (1 << np.arange(k, dtype=np.intp))[:, None] - 1  # bits under bit j
         full = np.arange(1 << k, dtype=np.intp)
         compressed = full[: 1 << (k - 1)]
@@ -566,17 +638,17 @@ class _PlanePlan:
         self.plus = full | (below + 1)
         row_of = (full & below) | ((full >> 1) & ~below)
         self.gather = row_of + (np.arange(k, dtype=np.intp)[:, None] << (k - 1))
-        self.size = sum((full >> j) & 1 for j in range(k)).astype(np.int16)[:, None]
+        self.size = sum((full >> j) & 1 for j in range(k)).astype(dtype)[:, None]
         self.lift = 1 - self.size
         for array in vars(self).values():
             array.flags.writeable = False
 
 
-# Indexes by width and plane plans by colour count, least recently used
-# first.  An index takes 10 MB at n = 30, 24 MB at n = 40 and 82 MB at n =
-# 60, in either mode, so only the last few widths stay.  A plan of k
-# colours takes about 3k x 2^k x 8 B, 1.2 MB at the 12 colours the entry cap
-# admits at most (on 2x6 to 2x8 boards).
+# Indexes by width and plane plans by colour count and dtype, least
+# recently used first.  An index takes 10 MB at n = 30, 24 MB at n = 40 and
+# 82 MB at n = 60, in either mode, so only the last few widths stay.  A plan
+# of k colours takes about 3k x 2^k x 8 B, 1.2 MB at the 12 colours the
+# entry cap admits at most (on 2x6 to 2x8 boards).
 _INDEX_CACHE: dict = {}
 _PLAN_CACHE: dict = {}
 _INDEX_CACHE_WIDTHS = 4
@@ -598,8 +670,8 @@ def _get_index(n: int, deadline=None) -> _SectionIndex:
     return _cached(_INDEX_CACHE, n, lambda: _SectionIndex(n, deadline))
 
 
-def _get_plan(k: int) -> _PlanePlan:
-    return _cached(_PLAN_CACHE, k, lambda: _PlanePlan(k))
+def _get_plan(k: int, dtype) -> _PlanePlan:
+    return _cached(_PLAN_CACHE, (k, dtype), lambda: _PlanePlan(k, dtype))
 
 
 @dataclass(frozen=True)
@@ -730,10 +802,11 @@ class DPTable:
         self._bits = bits.tolist()  # plane bit per palette colour
         # Table row per palette colour: its bit's position, -1 if absent.
         self._row = [b.bit_length() - 1 for b in self._bits]
-        # The pass's own int16 array: per slot one row of (colour on the
+        # The pass's own unsigned array: per slot one row of (colour on the
         # board, ignore set without that colour's bit) entries, which the
         # plan's gather map reads.
         self._values = values
+        self._inf = _inf(values.dtype)
         self._plan = plan
         self._entries = None
         self.value = None
@@ -755,7 +828,7 @@ class DPTable:
                 return self._values.item(slot, gather.item(j, plane))
             return self._values[slot].take(gather[j, plane], axis=-1)
         least = _least_over_colours(self._values[slot], gather[:, plane])
-        return np.minimum(least + 1, INF)
+        return np.minimum(least + 1, self._inf)
 
     def _colour_planes(self):
         """Each palette colour's values on every full plane, (slot, plane),
@@ -783,7 +856,7 @@ class DPTable:
     def value_of(self, z: ZKey):
         """Value for a key; +inf for never-relaxed keys."""
         v = int(self._read(*self._slot_of_key(z)))
-        return float("inf") if v >= INF else v
+        return float("inf") if v >= self._inf else v
 
     def _canonical(self):
         """canon[slot, plane]: the plane holds only colours of the slot's
@@ -796,7 +869,7 @@ class DPTable:
     def entries(self) -> dict:
         """All finite keys with canonical ignore masks."""
         if self._entries is None:
-            finite = (self._dense < INF) & self._canonical()[:, None, :]
+            finite = (self._dense < self._inf) & self._canonical()[:, None, :]
             slots, ds, planes = np.nonzero(finite)
             values = self._dense[slots, ds, planes]
             # Palette bitmask of each plane.
@@ -823,7 +896,7 @@ class DPTable:
         parent's plane (lemma "section colours").
         """
         v = int(self._read(slot, d, plane))
-        if v >= INF:
+        if v >= self._inf:
             raise InputError("entry has no finite value")
         if v == 0:
             return ("zero",)
@@ -883,7 +956,7 @@ class DPTable:
         c = len(self.board.palette)
         if target is not None and not 0 <= target < c:
             raise InputError(f"target colour {target} outside the palette")
-        best = INF
+        best = self._inf
         goal = None
         for slot in _goal_slots(self.board, self._index):
             for d in range(c) if target is None else (target,):
@@ -897,7 +970,7 @@ class DPTable:
         canon = self._canonical()  # (slot, full plane), like one colour's values
         keys = zeros = max_value = relaxations = 0
         for v in self._colour_planes():
-            finite = v < INF
+            finite = v < self._inf
             zero = v == 0
             relaxations += np.count_nonzero(finite) - np.count_nonzero(zero)
             finite &= canon
@@ -921,12 +994,14 @@ def _dense_seeds(board, index, masks, bits):
     """Zero seeds of the table, one row of (colour on the board, ignore set
     without that colour's bit) entries per slot, with INF elsewhere and in
     the null slot's last row, which padding records read.  Returns the seeds
-    and the plane plan of the board's colour count, built once per count
+    and the plane plan of the board's colour count and the table's dtype,
+    the narrowest for the board's width (_table_dtype), built once per pair
     (_get_plan)."""
     k = int(np.count_nonzero(bits))
-    plan = _get_plan(k)
+    dtype = _table_dtype(board.n)
+    plan = _get_plan(k, dtype)
     imap = plan.imap.reshape(k, -1)  # (colour, plane)
-    t_init = np.full((len(index.slot_sid) + 1, len(plan.imap)), INF, dtype=np.int16)
+    t_init = np.full((len(index.slot_sid) + 1, len(plan.imap)), _inf(dtype), dtype=dtype)
     # A listed path seeds its slot with colour d if every cell has colour d.
     # A slot may have several such paths, all with its r1 cell's colour.
     colours = np.ravel(board.cells)[index.seed_cells]
@@ -969,12 +1044,12 @@ def _recolour(t, plan, deadline, close=False, above=None):
     Each block runs on an entry-major copy, (entry, slot), so that every
     take copies whole rows of slots rather than one entry per index, and
     is written back.  With above = k, returns each slot's least entry above
-    k after the rule, INF if none, taken from that copy: entry - (k + 1) as
-    uint16 wraps the entries at or below k past every other, so one plain
-    least, capped at INF - (k + 1), gives it less k + 1."""
+    k after the rule, INF if none, taken from that copy: entry - (k + 1) in
+    the unsigned table wraps the entries at or below k past every other, so
+    one plain least, capped at INF - (k + 1), gives it less k + 1."""
     size = max(1, _BLOCK_ENTRIES // t.shape[1])
     if above is not None:
-        least = np.empty(len(t), dtype=np.uint16)
+        least = np.empty(len(t), dtype=t.dtype)
     for a in range(0, len(t), size):
         _check_deadline(deadline)
         # A copy, never a view: with one colour the transpose is already
@@ -994,7 +1069,7 @@ def _recolour(t, plan, deadline, close=False, above=None):
         t[a:a + size] = run.T
         if above is not None:
             run -= above + 1
-            np.minimum(run.view(np.uint16).min(axis=0), INF - (above + 1), out=least[a:a + size])
+            np.minimum(run.min(axis=0), _inf(t.dtype) - (above + 1), out=least[a:a + size])
     if above is not None:
         least += above + 1
         return least
@@ -1039,7 +1114,7 @@ def _lower_by_splits(t, left, right, parents, starts, counts, deadline, k):
             at = (np.arange(a * n, a * n + n) - starts[p0:p1] * n).repeat(counts[p0:p1])
             at += np.arange(0, (b - a) * n, n)
             rect = np.empty((m * n, t.shape[1]), dtype=t.dtype)
-            rect.fill(2 * INF)
+            rect.fill(2 * _inf(t.dtype))
             rect.view(row)[at, 0] = sums.view(row)[:, 0]
             sums = rect
         low = sums.reshape(-1, n, t.shape[1]).min(axis=0)
@@ -1182,7 +1257,7 @@ def _solve_buckets(best, plan, index, deadline):
     while True:
         _check_deadline(deadline)
         k = int(least.min())
-        if k >= INF:
+        if k >= _inf(best.dtype):
             break
         state[state == 3] = 1
         new = least == k
@@ -1230,7 +1305,7 @@ def solve(board: Board2xN, target: Optional[int] = None, mode: str = "reference"
     table = DPTable(board, index, mode, masks, bits, target, values[:-1], plan)
 
     best, goal = table.board_value(target)
-    if best >= INF:
+    if best >= table._inf:
         raise FlooditError("no finite value for the whole board")
     table.value = best
     table.goal = goal

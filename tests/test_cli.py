@@ -250,7 +250,7 @@ def test_verify_random_compares_the_worklist_table(monkeypatch, capsys):
 
     def unreached_read_finite(best, *args):
         solve_buckets(best, *args)
-        best[best == dp2xn.INF] -= 1
+        best[best == dp2xn._inf(best.dtype)] -= 1
 
     monkeypatch.setattr(dp2xn, "_solve_buckets", unreached_read_finite)
     assert main(["verify", "--random", "5", "4", "3", "--seed", "3"]) == 1
@@ -268,7 +268,7 @@ def test_verify_exhaustive_names_the_first_failing_board(monkeypatch, capsys):
 
     def unreached_read_finite(best, *args):
         solve_buckets(best, *args)
-        best[best == dp2xn.INF] -= 1
+        best[best == dp2xn._inf(best.dtype)] -= 1
 
     monkeypatch.setattr(dp2xn, "_solve_buckets", unreached_read_finite)
     assert main(["verify", "--exhaustive", "2", "2"]) == 1

@@ -35,6 +35,10 @@ from floodit.dp2xn import (
 )
 
 
+# The solver's table dtypes: uint8 up to 2x62, uint16 above (_table_dtype).
+TABLE_DTYPES = (np.uint8, np.uint16)
+
+
 def board_of(top, bottom):
     return board_from_tokens(list(top), list(bottom))
 
@@ -554,14 +558,16 @@ def test_time_budget_is_honoured_promptly(monkeypatch):
 @pytest.mark.parametrize("mode", ["reference", "worklist"])
 def test_pass_time_budget_is_honoured_promptly(mode):
     # The index for this width is built first, so the budget runs out inside
-    # the pass itself.  Measured on a 2-core x86-64 host: the structural-order
-    # pass takes 0.22-0.31 s at 2x60 (0.074-0.11 s at 2x40, within reach of
-    # the budget) and the bucketed pass 0.44-0.70 s at 2x40.
-    board = random_board(random.Random(40), 60 if mode == "reference" else 40, 4)
+    # the pass itself.  Measured on a 2-core x86-64 host, uint8 table: the
+    # structural-order pass takes 0.08-0.10 s at 2x60, after 1-2 ms of
+    # masks and seeds, so its budget is 0.02 s; the bucketed pass takes
+    # 0.24-0.29 s at 2x40, against a budget of 0.1 s.
+    n, budget = (60, 0.02) if mode == "reference" else (40, 0.1)
+    board = random_board(random.Random(40), n, 4)
     dp2xn._get_index(board.n)
     start = time.monotonic()
     with pytest.raises(BudgetExceededError):
-        solve(board, mode=mode, time_budget=0.1)
+        solve(board, mode=mode, time_budget=budget)
     assert time.monotonic() - start < 1.3
 
 
@@ -752,13 +758,15 @@ def test_worklist_kernel_blocks_hold_whole_parents(monkeypatch):
     # one block's.  k = 0, as no sum goes below it: the worklist offers no
     # sum below k to an entry above k, since every value below k is final.
     rng = np.random.default_rng(1030)
-    table = rng.integers(0, 3, size=(40, 8)).astype(np.int16)
+    values = rng.integers(0, 3, size=(40, 8))
     counts = rng.integers(3, 7, size=20)
     left = rng.integers(0, 20, size=counts.sum()).astype(np.int32)
     right = rng.integers(0, 20, size=counts.sum()).astype(np.int32)
-    dropped = _check_worklist_kernel(monkeypatch, table, left, right, np.arange(20, 40), counts,
-                                     ((1 << 18, 1), (64, 18), (192, 5), (256, 4), (16, 20)))
-    assert dropped.any() and not dropped.all()
+    for dtype in TABLE_DTYPES:
+        dropped = _check_worklist_kernel(monkeypatch, values.astype(dtype), left, right,
+                                         np.arange(20, 40), counts,
+                                         ((1 << 18, 1), (64, 18), (192, 5), (256, 4), (16, 20)))
+        assert dropped.any() and not dropped.all(), dtype
 
 
 def test_worklist_kernel_skewed_counts(monkeypatch):
@@ -771,41 +779,45 @@ def test_worklist_kernel_skewed_counts(monkeypatch):
     # INF, so a sum of INF + INF lowers nothing, and neither does a cell of
     # the buffer that no record fills.
     rng = np.random.default_rng(1032)
-    table = rng.integers(0, 4, size=(22, 4)).astype(np.int16)
-    table[:10][rng.random((10, 4)) < 0.2] = dp2xn.INF
-    table[10:] = dp2xn.INF
+    values = rng.integers(0, 4, size=(22, 4))
+    unreached = np.zeros(values.shape, dtype=bool)
+    unreached[:10] = rng.random((10, 4)) < 0.2
+    unreached[10:] = True
     counts = np.array([1] * 5 + [30] + [1] * 6)
     left = rng.integers(0, 10, size=counts.sum()).astype(np.int32)
     right = rng.integers(0, 10, size=counts.sum()).astype(np.int32)
-    _check_worklist_kernel(monkeypatch, table, left, right, np.arange(10, 22), counts,
-                           ((1 << 18, 1), (160, 3), (32, 3), (4, 12)))
+    for dtype in TABLE_DTYPES:
+        table = np.where(unreached, dp2xn._inf(dtype), values).astype(dtype)
+        _check_worklist_kernel(monkeypatch, table, left, right, np.arange(10, 22), counts,
+                               ((1 << 18, 1), (160, 3), (32, 3), (4, 12)))
 
 
 def test_worklist_kernel_one_record_per_parent(monkeypatch):
     # Fifty parents with one record each lower their rows by their sums
     # alone, ten parents to a block of 80 entries over rows of 8.
     rng = np.random.default_rng(1033)
-    table = rng.integers(0, 3, size=(70, 8)).astype(np.int16)
+    values = rng.integers(0, 3, size=(70, 8))
     counts = np.ones(50, dtype=np.int64)
     left = rng.integers(0, 20, size=50).astype(np.int32)
     right = rng.integers(0, 20, size=50).astype(np.int32)
-    dropped = _check_worklist_kernel(monkeypatch, table, left, right, np.arange(20, 70), counts,
-                                     ((1 << 18, 1), (80, 5), (8, 50)))
-    assert dropped.any() and not dropped.all()
+    for dtype in TABLE_DTYPES:
+        dropped = _check_worklist_kernel(monkeypatch, values.astype(dtype), left, right,
+                                         np.arange(20, 70), counts, ((1 << 18, 1), (80, 5), (8, 50)))
+        assert dropped.any() and not dropped.all(), dtype
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), parents=st.integers(1, 25), entries=st.sampled_from((1, 3, 8)),
-       block=st.integers(1, 2_000), k=st.integers(0, 3))
-def test_worklist_kernel_equals_per_parent_minimum(seed, parents, entries, block, k):
+       block=st.integers(1, 2_000), k=st.integers(0, 3), dtype=st.sampled_from(TABLE_DTYPES))
+def test_worklist_kernel_equals_per_parent_minimum(seed, parents, entries, block, k, dtype):
     # Random tables of values k to k + 3, a quarter of them INF, 1 to 40
     # records per parent and any block size: the table and the "dropped to
     # k" mask equal a plain per-parent minimum, and every block is a run of
     # whole parents.
     rng = np.random.default_rng(seed)
     children = 12
-    table = rng.integers(k, k + 4, size=(children + parents, entries)).astype(np.int16)
-    table[rng.random(table.shape) < 0.25] = dp2xn.INF
+    table = rng.integers(k, k + 4, size=(children + parents, entries)).astype(dtype)
+    table[rng.random(table.shape) < 0.25] = dp2xn._inf(dtype)
     counts = rng.integers(1, 41, size=parents)
     left = rng.integers(0, children, size=counts.sum()).astype(np.int32)
     right = rng.integers(0, children, size=counts.sum()).astype(np.int32)
@@ -822,19 +834,20 @@ def test_reference_kernel_blocks_hold_whole_parents(monkeypatch):
     # one block of its own, its ranks never cut over two; a block of 96
     # entries holds two whole parents.
     rng = np.random.default_rng(1031)
-    table = rng.integers(0, 9, size=(32, 8)).astype(np.int16)
+    values = rng.integers(0, 9, size=(32, 8))
     left = rng.integers(0, 20, size=(12, 5)).astype(np.int32)
     right = rng.integers(0, 20, size=(12, 5)).astype(np.int32)
-    want = table.copy()
-    sums = table[left].astype(np.int64) + table[right]  # (parent, rank, entry)
+    want = values.copy()
+    sums = values[left] + values[right]  # (parent, rank, entry)
     want[20:] = np.minimum(want[20:], sums.min(axis=1))
-    for block, blocks in ((1 << 18, 1), (96, 6), (16, 12)):
+    for dtype, (block, blocks) in itertools.product(TABLE_DTYPES,
+                                                    ((1 << 18, 1), (96, 6), (16, 12))):
         monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", block)
         calls = _count_blocks(monkeypatch)
-        got = table.copy()
+        got = values.astype(dtype)
         dp2xn._lower_layer(got, got[20:], left, right, None)
-        assert calls[0] == blocks, block
-        assert np.array_equal(got, want), block
+        assert calls[0] == blocks, (dtype, block)
+        assert np.array_equal(got, want), (dtype, block)
 
 
 def test_one_index_serves_every_colour_count(monkeypatch):
@@ -874,17 +887,17 @@ def test_recolour_follows_its_definition(monkeypatch):
     # slots' rows over seven, so the last block is short.  With above = k,
     # the rule also returns each slot's least entry above k after it, INF
     # where there is none: one row holds only entries at or below k and
-    # one only INF.
+    # one only INF.  Both table dtypes, each with its own INF.
     rng = np.random.default_rng(1200)
-    inf = dp2xn.INF
-    for k in range(1, 7):
+    for k, dtype in itertools.product(range(1, 7), TABLE_DTYPES):
         monkeypatch.setattr(dp2xn, "_BLOCK_ENTRIES", 3 * k << (k - 1))
         row_of, imap = _plane_maps(k)
-        plan = dp2xn._PlanePlan(k)
+        plan = dp2xn._PlanePlan(k, dtype)
+        inf = dp2xn._inf(dtype)
         assert plan.imap.tolist() == sum(imap, [])
         assert plan.gather.tolist() == [[(j << (k - 1)) + p for p in row_of[j]] for j in range(k)]
         for close, above in itertools.product((False, True), (None, k)):
-            t = rng.integers(0, 12, size=(7, k, 1 << (k - 1))).astype(np.int16)
+            t = rng.integers(0, 12, size=(7, k, 1 << (k - 1))).astype(dtype)
             t[rng.random(t.shape) < 0.4] = inf
             t[5] = rng.integers(0, k + 1, size=t[5].shape)
             t[6] = inf
@@ -897,12 +910,12 @@ def test_recolour_follows_its_definition(monkeypatch):
             want = [[[min(int(t[s, j, p]), 1 + base[s][imap[j][p]])
                       for p in range(1 << (k - 1))] for j in range(k)] for s in range(len(t))]
             least = dp2xn._recolour(t.reshape(len(t), -1), plan, None, close=close, above=above)
-            assert t.tolist() == want, (k, close, above)
+            assert t.tolist() == want, (k, dtype, close, above)
             if above is None:
                 assert least is None
                 continue
             assert least.tolist() == [min([v for v in np.ravel(row) if v > k], default=inf)
-                                      for row in want], (k, close)
+                                      for row in want], (k, dtype, close)
             assert least.tolist()[5:] == [inf, inf]
 
 
@@ -916,7 +929,8 @@ def test_worklist_bucket_starts_are_the_least_entries_above_the_bucket(monkeypat
     def checked(t, plan, deadline, close=False, above=None):
         least = recolour(t, plan, deadline, close=close, above=above)
         if above is not None:
-            assert np.array_equal(least, t.min(axis=1, where=t > above, initial=dp2xn.INF))
+            assert np.array_equal(least, t.min(axis=1, where=t > above,
+                                              initial=dp2xn._inf(t.dtype)))
             buckets.append(above)
         return least
 
@@ -934,9 +948,9 @@ def test_worklist_bucket_starts_are_the_least_entries_above_the_bucket(monkeypat
 
 
 def test_plane_plans_are_shared_read_only_and_bounded(monkeypatch):
-    # One plan per colour count, shared by every solve with that count in
-    # either mode, whatever the width or palette; kept under the index
-    # cache's bound, least recently used first.
+    # One plan per colour count and table dtype, shared by every solve with
+    # that count and dtype in either mode, whatever the palette; kept under
+    # the index cache's bound, least recently used first.
     monkeypatch.setattr(dp2xn, "_PLAN_CACHE", {})
     plan = solve(board_of("ab", "ba"))[1]._plan
     assert solve(board_of("bbc", "cbb"), mode="worklist")[1]._plan is plan
@@ -949,7 +963,7 @@ def test_plane_plans_are_shared_read_only_and_bounded(monkeypatch):
         cells = ("abcdefgh"[:k] * 8)[:8]
         solve(board_of(cells[:4], cells[4:8]))
         assert len(dp2xn._PLAN_CACHE) <= bound
-    assert list(dp2xn._PLAN_CACHE) == list(range(9 - bound, 9))
+    assert list(dp2xn._PLAN_CACHE) == [(k, np.dtype(np.uint8)) for k in range(9 - bound, 9)]
 
 
 def test_tables_are_the_least_fixed_point_of_the_rules():
@@ -982,13 +996,13 @@ def test_tables_are_the_least_fixed_point_of_the_rules():
         for mode in ("reference", "worklist"):
             _, table = solve(board, mode=mode)
             index = table._index
-            assert table._values.dtype == np.int16
+            assert table._values.dtype == dp2xn._table_dtype(board.n) == np.uint8
             assert table._values.shape == (len(index.slot_sid), k << (k - 1))
             # Every palette colour on every full plane, (colour, plane, slot).
             values = table._dense.transpose(1, 2, 0).astype(np.int64)
-            seeds = np.full(values.shape, dp2xn.INF, dtype=np.int64)
+            seeds = np.full(values.shape, table._inf, dtype=np.int64)
             stored = dp2xn._dense_seeds(board, index, table._masks, bits)[0]
-            assert len(stored) == len(index.slot_sid) + 1 and (stored[-1] == dp2xn.INF).all()
+            assert len(stored) == len(index.slot_sid) + 1 and (stored[-1] == table._inf).all()
             for j, d in enumerate(present):
                 seeds[d] = stored[:-1].reshape(-1, k, 1 << (k - 1))[:, j, planes[j]].T
             imap = np.arange(1 << k)[None, :] | bits[:, None]  # I + {d}
@@ -1001,7 +1015,7 @@ def test_tables_are_the_least_fixed_point_of_the_rules():
                 if hi > lo:
                     np.minimum(rules[:, :, slot], sums[:, :, lo:hi].min(axis=2),
                                out=rules[:, :, slot])
-            assert np.array_equal(values, np.minimum(rules, dp2xn.INF)), (mode, board.cells)
+            assert np.array_equal(values, np.minimum(rules, table._inf)), (mode, board.cells)
 
 
 def test_planes_read_only_the_section_colours():
@@ -1077,6 +1091,73 @@ def test_value_bounds():
         assert stats.max_value <= 2 * board.n - 1
 
 
+def _as_int64(values):
+    """A table array as int64 with its INF read as -1, whatever its dtype."""
+    full = values.astype(np.int64)
+    full[full >= dp2xn._inf(values.dtype)] = -1
+    return full
+
+
+def test_finite_entries_are_at_most_the_section_cell_count():
+    # Lemma "value bound": every finite entry on a slot, absent colours'
+    # included, is at most its section's cell count, which sets the uint8
+    # range.  Every third board has absent palette colours.
+    rng = random.Random(1300)
+    for i in range(200):
+        n, c = rng.randint(1, 10), rng.randint(1 + (i % 3 == 0), 6)
+        used = rng.sample(range(c), rng.randint(1, c - 1)) if i % 3 == 0 else range(c)
+        cells = [rng.choice(used) for _ in range(2 * n)]
+        board = Board2xN(n, (tuple(cells[:n]), tuple(cells[n:])), colour_tokens(c))
+        for mode in ("reference", "worklist"):
+            table = solve(board, mode=mode)[1]
+            index = table._index
+            t1, b1, t2, b2 = index.sec_borders[index.slot_sid].T
+            largest = _as_int64(table._dense).max(axis=(1, 2))
+            assert (largest <= (t2 - t1) + (b2 - b1)).all(), (mode, board.cells)
+
+
+def test_two_colour_2x1_board_reaches_the_value_bound():
+    # The bound is tight: the slot whose path is the top cell absorbs the
+    # bottom cell and ends in the top cell's colour, two moves on a section
+    # of two cells.
+    for mode in ("reference", "worklist"):
+        table = solve(board_of("a", "b"), mode=mode)[1]
+        assert table.stats().max_value == 2
+        assert table.value_of(ZKey(Border(0, 0), Border(1, 1), 0, 0, 0, 0)) == 2
+
+
+def test_width_rule_switches_to_uint16_above_2x62(monkeypatch):
+    # uint8 up to 2x62 and uint16 from 2x63.  Either table, solved again in
+    # the other dtype, is the same as integers with INF read as -1.  The
+    # indexes are dropped after each width.
+    monkeypatch.setattr(dp2xn, "_INDEX_CACHE", {})
+    rule = dp2xn._table_dtype
+    for n, dtype, other in ((62, np.uint8, np.uint16), (63, np.uint16, np.uint8)):
+        board = random_board(random.Random(n), n, 4)
+        table = solve(board)[1]
+        assert table._values.dtype == rule(n) == dtype
+        monkeypatch.setattr(dp2xn, "_table_dtype", lambda n: np.dtype(other))
+        forced = solve(board)[1]
+        monkeypatch.setattr(dp2xn, "_table_dtype", rule)
+        assert forced._values.dtype == other
+        assert forced.value == table.value
+        assert np.array_equal(_as_int64(forced._values), _as_int64(table._values)), n
+        dp2xn._INDEX_CACHE.clear()
+
+
+def test_uint16_tables_equal_uint8_tables_on_small_boards(monkeypatch):
+    rng = random.Random(1310)
+    boards = [random_board(rng, rng.randint(1, 8), rng.randint(1, 5)) for _ in range(40)]
+    modes = ("reference", "worklist")
+    expected = {mode: [solve(board, mode=mode)[1]._dense for board in boards] for mode in modes}
+    monkeypatch.setattr(dp2xn, "_table_dtype", lambda n: np.dtype(np.uint16))
+    for mode in modes:
+        for board, want in zip(boards, expected[mode]):
+            got = solve(board, mode=mode)[1]._dense
+            assert want.dtype == np.uint8 and got.dtype == np.uint16
+            assert np.array_equal(_as_int64(got), _as_int64(want)), (mode, board.cells)
+
+
 def test_ignore_monotonicity():
     rng = random.Random(400)
     board = random_board(rng, 3, 3)
@@ -1094,14 +1175,14 @@ def test_ignore_monotonicity():
 
 
 def test_unreached_entries_read_inf_and_have_no_rule():
-    # An entry that no rule reaches holds dp2xn.INF in the table.  Through
+    # An entry that no rule reaches holds the table's INF.  Through
     # its key it reads +inf, entries() omits it and it has no back-pointer.
     board = board_of("abc", "bca")
     for mode in ("reference", "worklist"):
         _, table = solve(board, mode=mode)
         index, entries = table._index, table.entries()
         present = np.flatnonzero(table._bits).tolist()  # palette colour per plane bit
-        unreached = np.argwhere((table._dense >= dp2xn.INF) & table._canonical()[:, None, :])
+        unreached = np.argwhere((table._dense >= table._inf) & table._canonical()[:, None, :])
         assert len(unreached), mode
         for slot, d, plane in unreached.tolist():
             t1, bb1, t2, bb2 = index.sec_borders[index.slot_sid[slot]].tolist()
